@@ -14,13 +14,11 @@ from __future__ import annotations
 
 import enum
 import math
-import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
+from scipy.special import ive
 
 
 class ProtocolKind(enum.Enum):
@@ -32,7 +30,7 @@ class ProtocolKind(enum.Enum):
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to reach the requested tolerance.
+    """The midpoint rule missed `_TOL`, or would need more than `_M_CAP` nodes.
 
     Carries the best available estimate and its error bound so callers can
     decide whether to proceed anyway.
@@ -49,7 +47,7 @@ class QuenchProtocol:
     """A quench protocol: sweep kind, its couplings, and the inverse rate tau.
 
     tau = 0 is accepted and means the sudden limit (every mode stays excited);
-    it is handled analytically downstream rather than through quadrature.
+    it is handled analytically downstream rather than by the moment formulas.
     """
 
     kind: ProtocolKind
@@ -132,79 +130,80 @@ def excitation_probability(protocol: QuenchProtocol, k) -> float | np.ndarray:
     return float(out) if np.isscalar(k) else out
 
 
-def _interior_breakpoints(protocol: QuenchProtocol) -> list[float]:
-    # p_k = 1 wherever the exponent's prefactor vanishes (k = 0, pi, and the
-    # interior zero of sin k - J3 sin 2k for J3 > 1/2), and at large tau the
-    # integrand collapses to spikes of width ~ tau^(-1/2) around those zeros.
-    # A single Gauss-Kronrod panel on [0, pi] can miss such a spike entirely
-    # *and* report zero error, so each zero gets a geometric cascade of panel
-    # boundaries: any spike wider than 1e-8 then fills a decade-sized panel
-    # where the rule resolves it and adaptive refinement takes over.
-    zeros = [0.0, math.pi]
-    if protocol.kind is ProtocolKind.THREE_SPIN and protocol.j3 > 0.5:
-        zeros.append(math.acos(1.0 / (2.0 * protocol.j3)))
-    pts = set()
-    for z in zeros:
-        for j in range(1, 9):
-            w = 10.0**-j
-            for candidate in (z - w, z + w):
-                if 1e-12 < candidate < math.pi - 1e-12:
-                    pts.add(candidate)
-    return sorted(pts)
+# Multicritical and three-spin moments: p_k cos(n k) is smooth, even and
+# 2 pi-periodic in k, so the M-point midpoint rule on [0, pi] converges
+# exponentially and |beta(M) - beta(M/2)| estimates its error.  The narrowest
+# feature is the spike exp(-pi tau s^2 k^2) at the steepest simple zero
+# (slope s) of the exponent's prefactor.  Its spectrum falls as
+# exp(-w^2 / (4 pi tau s^2)) and the M/2 grid aliases frequency M, so with
+# M >= 24 s sqrt(tau) + n both grids alias below e^-45.  M is chosen from tau,
+# not doubled from a small grid: a grid much coarser than the spike misses it
+# at M and M/2 alike, and the two values then agree falsely.
+_M_FLOOR = 512  # small tau, where p_k is not a single spike
+_M_CAP = 2**22  # serves every j3 <= 1.5 up to tau = 1.9e9, multicritical to 7.6e9
+_TOL = 1e-12
 
 
-def beta_n(protocol: QuenchProtocol, n: int, tol: float = 1e-10) -> float:
-    """Cosine moment (1/pi) * integral_0^pi p_k cos(n k) dk.
+def _midpoint(protocol: QuenchProtocol, n: int, m: int) -> float:
+    k = (np.arange(m) + 0.5) * (np.pi / m)
+    return float(np.mean(excitation_probability(protocol, k) * np.cos(n * k)))
 
-    Odd n is accepted; the result is ~0 only when p_k has the k -> pi - k
-    symmetry (Ising), so for the other protocols it is computed, not assumed.
-    """
-    if n < 0 or int(n) != n:
-        raise ValueError(f"n must be a nonnegative integer, got {n}")
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    if protocol.tau == 0.0:
-        # Sudden limit: p_k == 1, and the cosine integrates to zero unless n == 0.
-        return 1.0 if n == 0 else 0.0
 
-    def integrand(k):
-        return excitation_probability(protocol, float(k)) * math.cos(n * k)
-
-    points = _interior_breakpoints(protocol)
-    with warnings.catch_warnings():
-        # roundoff warnings at near-machine tolerances are expected; accuracy
-        # is judged from the returned error bound below
-        warnings.simplefilter("ignore", IntegrationWarning)
-        value, abserr = quad(
-            integrand, 0.0, np.pi, epsabs=1e-14, epsrel=tol, limit=800, points=points
-        )
-    value /= np.pi
-    abserr /= np.pi
-    # quad may stop early on roundoff; accept if the reported bound is still
-    # within a loose multiple of what was asked for.
-    if abserr > max(1e-13, 50.0 * tol * max(abs(value), 1e-3)):
+def _midpoint_beta(protocol: QuenchProtocol, n: int) -> float:
+    # steepest zero: (1 + cos k) sin k at k = 0, sin k - J3 sin 2k at k = pi
+    slope = 2.0 if protocol.kind is ProtocolKind.MULTICRITICAL else 1.0 + 2.0 * protocol.j3
+    m = max(_M_FLOOR, 2 ** math.ceil(math.log2(24.0 * slope * math.sqrt(protocol.tau) + n)))
+    fine = _midpoint(protocol, n, min(m, _M_CAP))
+    error = abs(fine - _midpoint(protocol, n, min(m, _M_CAP) // 2))
+    if m > _M_CAP:
+        # the capped grid may miss the whole spike, of mass 1/(2 pi s sqrt(tau))
+        error = max(error, 1.0 / (2.0 * math.pi * slope * math.sqrt(protocol.tau)))
+    if m > _M_CAP or error > _TOL:
         raise QuadratureError(
-            f"beta_{n} did not converge to tol={tol} for {protocol}", value, abserr
+            f"beta_{n} for {protocol} needs {m} midpoint nodes (cap {_M_CAP}, tolerance {_TOL})",
+            fine,
+            error,
         )
+    return fine
+
+
+def _ising_beta(protocol: QuenchProtocol, n: int) -> float:
+    # (1/pi) int_0^pi exp(-a sin^2 k) cos(n k) dk = e^{-a/2} I_{n/2}(a/2) for
+    # even n; odd n vanish by the k -> pi - k symmetry
+    if n % 2:
+        return 0.0
+    x = 0.5 * math.pi * protocol.tau * protocol.gamma**2
+    value = float(ive(n // 2, x))
+    if math.isnan(value):  # ive gives up above x ~ 1e9: large-argument series
+        value = (1.0 - (n * n - 1.0) / (8.0 * x)) / math.sqrt(2.0 * math.pi * x)
     return value
 
 
-@lru_cache(maxsize=4096)
-def _beta_cached(protocol: QuenchProtocol, n: int, tol: float) -> float:
-    return beta_n(protocol, n, tol)
+def beta_n(protocol: QuenchProtocol, n: int) -> float:
+    """Cosine moment (1/pi) * integral_0^pi p_k cos(n k) dk.
 
-
-def compute_betas(protocol: QuenchProtocol, n_max: int, tol: float = 1e-10) -> BetaSet:
-    """Evaluate all even moments up to n_max, sharing work across calls.
-
-    Quadrature dominates the runtime of the downstream pipeline, so results
-    are memoized per (protocol, n, tol); the cache is invisible to callers
-    and safe under concurrent use.
+    Ising moments use the Bessel closed form e^{-a/2} I_{n/2}(a/2) with
+    a = pi tau gamma^2 (exactly 0 for odd n).  The other protocols use the
+    midpoint rule on a grid chosen from tau; their odd moments are computed,
+    since p_k lacks the k -> pi - k symmetry.  Raises `QuadratureError` when
+    the midpoint rule cannot reach `_TOL` within `_M_CAP` nodes.
     """
-    values = {n: _beta_cached(protocol, n, tol) for n in range(0, n_max + 1, 2)}
+    if n < 0 or int(n) != n:
+        raise ValueError(f"n must be a nonnegative integer, got {n}")
+    if protocol.tau == 0.0:
+        # Sudden limit: p_k == 1, and the cosine integrates to zero unless n == 0.
+        return 1.0 if n == 0 else 0.0
+    if protocol.kind is ProtocolKind.ISING:
+        return _ising_beta(protocol, n)
+    return _midpoint_beta(protocol, n)
+
+
+def compute_betas(protocol: QuenchProtocol, n_max: int) -> BetaSet:
+    """Evaluate all even moments up to n_max with `beta_n`."""
+    values = {n: beta_n(protocol, n) for n in range(0, n_max + 1, 2)}
     return BetaSet(n_max=n_max, values=values)
 
 
-def defect_density(protocol: QuenchProtocol, tol: float = 1e-10) -> float:
+def defect_density(protocol: QuenchProtocol) -> float:
     """Density of excited modes after the sweep; equals beta_0."""
-    return _beta_cached(protocol, 0, tol)
+    return beta_n(protocol, 0)

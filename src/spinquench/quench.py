@@ -45,7 +45,7 @@ class QuenchMeasureRequest:
             raise ValueError(f"separation n must be one of {_SEPARATIONS}, got {self.n}")
 
 
-def correlators(protocol: QuenchProtocol, n: int, tol: float = 1e-10) -> CorrelatorSet:
+def correlators(protocol: QuenchProtocol, n: int) -> CorrelatorSet:
     """Two-spin correlators at separation n in the final state of the quench.
 
     c1 is 1/4 of the n x n Toeplitz determinant det[G_{i-j+1}] with
@@ -54,7 +54,7 @@ def correlators(protocol: QuenchProtocol, n: int, tol: float = 1e-10) -> Correla
     """
     if n not in _SEPARATIONS:
         raise ValueError(f"separation n must be one of {_SEPARATIONS}, got {n}")
-    betas = compute_betas(protocol, n_max=n, tol=tol)
+    betas = compute_betas(protocol, n_max=n)
     b0 = betas[0]
     m = 1.0 - 2.0 * b0
     c4 = m
@@ -75,9 +75,9 @@ def correlators(protocol: QuenchProtocol, n: int, tol: float = 1e-10) -> Correla
     return CorrelatorSet(c1=c1, c2=c1, c3=c3, c4=c4)
 
 
-def measures(protocol: QuenchProtocol, n: int, tol: float = 1e-10) -> CorrelationReport:
+def measures(protocol: QuenchProtocol, n: int) -> CorrelationReport:
     """Full correlation report for one (protocol, separation) point."""
-    c = correlators(protocol, n, tol=tol)
+    c = correlators(protocol, n)
     state = build_xstate(c)
     rho = state.to_matrix()
     i_val = mutual_information(rho)

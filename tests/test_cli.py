@@ -274,6 +274,14 @@ class TestExitCodes:
         assert np.isnan(rows[1][header.index("Q")])
         assert np.isfinite(rows[0][header.index("Q")])
 
+    def test_unresolvable_moment_exits_3(self, capsys):
+        # past the midpoint rule's node cap
+        code, out, err = run_cli(
+            capsys, "measures", "--protocol", "multicritical", "--tau", "1e14"
+        )
+        assert code == 3
+        assert "numerical failure" in err
+
     def test_gamma_with_three_spin(self, capsys):
         code, _, err = run_cli(
             capsys, "measures", "--protocol", "three-spin", "--gamma", "1", "--tau", "1"

@@ -128,10 +128,18 @@ class TestBetaN:
     @pytest.mark.parametrize("tau", [1e5, 1e6, 1e8])
     def test_bessel_identity_spike_regime(self, tau):
         # at large tau the integrand is two endpoint spikes of width
-        # ~ tau^(-1/2); the breakpoint cascade must capture them
+        # ~ tau^(-1/2)
         expected = float(ive(0, math.pi * tau / 2.0))
         got = beta_n(QuenchProtocol.ising(1.0, tau), 0)
         assert got == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.parametrize("tau", [1e6, 1e10])
+    @pytest.mark.parametrize("n", [0, 6])
+    def test_ising_spike_regime_riemann_oracle(self, tau, n):
+        # independent of scipy's ive: tau = 1e10 is past the argument where
+        # ive gives nan, so it checks the large-argument series
+        proto = QuenchProtocol.ising(1.0, tau)
+        assert abs(beta_n(proto, n) - riemann_beta(proto, n)) < 1e-12
 
     def test_extreme_tau_asymptote(self):
         # beyond the Bessel oracle's own range: beta_0 -> 1/(pi sqrt(tau))
@@ -159,10 +167,28 @@ class TestBetaN:
         assert abs(beta_n(protocol, n) - riemann_beta(protocol, n)) < 1e-8
 
     def test_riemann_oracle_sharp_interior_peak(self):
-        # J3 > 1/2 puts a p_k = 1 peak inside (0, pi); the pre-split must
-        # capture it even at large tau
+        # J3 > 1/2 puts a p_k = 1 peak inside (0, pi); the grid must
+        # resolve it even at large tau
         proto = QuenchProtocol.three_spin(0.8, 1e4)
         assert abs(beta_n(proto, 0) - riemann_beta(proto, 0)) < 1e-8
+
+    @pytest.mark.parametrize("tau", [1e6, 1e9])
+    @pytest.mark.parametrize("j3", [None, 0.8, 1.0], ids=["mcp", "3spin-0.8", "3spin-1.0"])
+    def test_no_false_convergence_at_large_tau(self, j3, tau):
+        # a grid much coarser than the k = 0 or k = pi spike gives the same
+        # wrong value at M and M/2; tau = 1e9 is the edge of the served range
+        if j3 is None:
+            proto = QuenchProtocol.multicritical(tau)
+        else:
+            proto = QuenchProtocol.three_spin(j3, tau)
+        assert abs(beta_n(proto, 0) - riemann_beta(proto, 0)) < 1e-12
+
+    def test_past_the_node_cap_raises(self):
+        with pytest.raises(QuadratureError) as info:
+            beta_n(QuenchProtocol.multicritical(1e14), 0)
+        # the estimate misses at most the k = 0 spike, of mass 1/(4 pi 1e7)
+        assert 1e-3 < info.value.estimate < 2e-3
+        assert info.value.error_bound >= 1.0 / (4.0 * math.pi * 1e7)
 
     def test_odd_n_computed_not_assumed(self):
         # Ising p_k is k -> pi - k symmetric so odd moments vanish; the
@@ -174,8 +200,6 @@ class TestBetaN:
         proto = QuenchProtocol.ising(1.0, 1.0)
         with pytest.raises(ValueError):
             beta_n(proto, -2)
-        with pytest.raises(ValueError):
-            beta_n(proto, 2, tol=0.0)
 
     @given(tau=st.floats(1e-3, 1e3), n=st.sampled_from([0, 2, 4, 6]))
     @settings(max_examples=60, deadline=None)
