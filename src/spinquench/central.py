@@ -416,8 +416,8 @@ def trace_run(config: CentralConfig) -> DecoherenceTrace:
     """March the environment over config.t_grid and record (D, Q, C_nc) rows.
 
     All modes advance incrementally (never re-integrated from the start);
-    discord comes from the general measurement optimizer applied to the
-    reduced qubit state.
+    discord comes from `xstate.discord` on the reduced qubit state, an X
+    state.
     """
     ens = ModeEnsemble(config)
     ts, hs, ds, qs, cs = [], [], [], [], []

@@ -3,13 +3,12 @@
 Subcommands: measures, sweep, fit, decohere.  Output goes to --output or
 stdout, diagnostics to stderr.  Exit codes: 0 success, 2 invalid
 configuration, 3 numerical failure.  Reruns produce byte-identical CSV
-for a fixed configuration, regardless of --workers.
+for a fixed configuration; sweep's --workers is accepted but has no effect.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import dataclass
 
@@ -37,7 +36,6 @@ class RunConfig:
     window: tuple[float, float] = (1e2, 1e4)
     input_path: str | None = None
     output_path: str | None = None
-    workers: int = 1
     central_config: central.CentralConfig | None = None
 
 
@@ -109,9 +107,9 @@ def cmd_measures(cfg: RunConfig) -> int:
 
 def cmd_sweep(cfg: RunConfig) -> int:
     if cfg.j3_grid is not None:
-        table = scaling.sweep_j3(cfg.protocol.tau, cfg.n, cfg.j3_grid, workers=cfg.workers)
+        table = scaling.sweep_j3(cfg.protocol.tau, cfg.n, cfg.j3_grid)
     else:
-        table = scaling.sweep_tau(cfg.protocol, cfg.n, cfg.tau_grid, workers=cfg.workers)
+        table = scaling.sweep_tau(cfg.protocol, cfg.n, cfg.tau_grid)
     rows = []
     for row in table.data:
         out = []
@@ -207,7 +205,8 @@ def _make_parser() -> argparse.ArgumentParser:
     p.add_argument("--j3-points", type=int, default=21)
     p.add_argument(
         "--workers", type=int, default=None,
-        help="parallel row workers (default: available parallelism)",
+        help="accepted for existing command lines and checked to be >= 1; "
+        "rows are computed in one process, so it has no effect",
     )
 
     p = sub.add_parser("fit", help="log-log power-law fit of a sweep CSV column")
@@ -270,8 +269,7 @@ def _parse(argv) -> RunConfig:
     if args.subcommand in ("measures", "sweep"):
         cfg.n = args.n
         if args.subcommand == "sweep":
-            cfg.workers = args.workers if args.workers is not None else (os.cpu_count() or 1)
-            if cfg.workers < 1:
+            if args.workers is not None and args.workers < 1:
                 raise ValueError("--workers must be >= 1")
             has_j3_grid = args.j3_min is not None or args.j3_max is not None
             has_tau_grid = args.tau_min is not None or args.tau_max is not None

@@ -18,7 +18,6 @@ larger of the two axis values (acceptance criterion 3).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .kernels import QuenchProtocol, compute_betas
 from .xstate import (
@@ -31,18 +30,6 @@ from .xstate import (
 )
 
 _SEPARATIONS = (2, 4, 6)
-
-
-@dataclass(frozen=True)
-class QuenchMeasureRequest:
-    """One evaluation point: a protocol and a spin separation n in {2, 4, 6}."""
-
-    protocol: QuenchProtocol
-    n: int
-
-    def __post_init__(self):
-        if self.n not in _SEPARATIONS:
-            raise ValueError(f"separation n must be one of {_SEPARATIONS}, got {self.n}")
 
 
 def correlators(protocol: QuenchProtocol, n: int) -> CorrelatorSet:
@@ -79,9 +66,8 @@ def measures(protocol: QuenchProtocol, n: int) -> CorrelationReport:
     """Full correlation report for one (protocol, separation) point."""
     c = correlators(protocol, n)
     state = build_xstate(c)
-    rho = state.to_matrix()
-    i_val = mutual_information(rho)
-    c_val, basis = classical_correlation(rho)
+    i_val = mutual_information(state)
+    c_val, basis = classical_correlation(state)
     return CorrelationReport(
         mutual_information=i_val,
         classical_correlation=min(c_val, i_val),

@@ -2,21 +2,21 @@
 
 `sweep_tau` materializes the measures over a grid of inverse rates;
 `sweep_j3` scans the three-spin coupling at fixed rate.  `fit_loglog`
-extracts d(ln y)/d(ln x) by ordinary least squares.  Rows can be computed
-in parallel; output is always in grid order.
+extracts d(ln y)/d(ln x) by ordinary least squares.  Rows are computed
+one after another in grid order; a row that fails holds NaNs and is listed
+in the table's errors.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .kernels import ProtocolKind, QuenchProtocol, defect_density
-from .quench import QuenchMeasureRequest, measures
+from .quench import measures
 
 TAU_COLUMNS = ("tau", "n", "beta0", "I", "C", "Q", "Cnc")
 J3_COLUMNS = ("j3", "Q", "Cnc")
@@ -70,13 +70,12 @@ class ScalingFit:
             raise ValueError(f"r_squared = {self.r_squared} outside [0, 1]")
 
 
-def _measure_row(request: QuenchMeasureRequest) -> tuple:
-    rep = measures(request.protocol, request.n)
-    b0 = defect_density(request.protocol)
+def _measure_row(protocol: QuenchProtocol, n: int) -> tuple:
+    rep = measures(protocol, n)
     return (
-        request.protocol.tau,
-        float(request.n),
-        b0,
+        protocol.tau,
+        float(n),
+        defect_density(protocol),
         rep.mutual_information,
         rep.classical_correlation,
         rep.discord,
@@ -84,79 +83,39 @@ def _measure_row(request: QuenchMeasureRequest) -> tuple:
     )
 
 
-def _j3_row(request: QuenchMeasureRequest) -> tuple:
-    rep = measures(request.protocol, request.n)
-    return (request.protocol.j3, rep.discord, rep.concurrence)
+def _j3_row(protocol: QuenchProtocol, n: int) -> tuple:
+    rep = measures(protocol, n)
+    return (protocol.j3, rep.discord, rep.concurrence)
 
 
-def _run_rows(worker, requests, workers):
-    results = []
-    if workers is not None and workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(worker, r) for r in requests]
-            for i, fut in enumerate(futures):
-                try:
-                    results.append((i, fut.result(), None))
-                except Exception as exc:  # noqa: BLE001 - row failures are data
-                    results.append((i, None, str(exc)))
-    else:
-        for i, req in enumerate(requests):
-            try:
-                results.append((i, worker(req), None))
-            except Exception as exc:  # noqa: BLE001
-                results.append((i, None, str(exc)))
-    return results
+def _run_rows(columns, row, grid, protocols, n) -> SweepTable:
+    data = np.full((len(grid), len(columns)), np.nan)
+    errors = []
+    for i, (x, protocol) in enumerate(zip(grid, protocols)):
+        try:
+            data[i] = row(protocol, n)
+        except Exception as exc:  # noqa: BLE001 - row failures are data
+            data[i, 0] = x
+            errors.append((i, str(exc)))
+    return SweepTable(columns=columns, data=data, errors=tuple(errors))
 
 
-def sweep_tau(
-    protocol: QuenchProtocol,
-    n: int,
-    tau_grid: Sequence[float],
-    workers: int | None = None,
-) -> SweepTable:
+def sweep_tau(protocol: QuenchProtocol, n: int, tau_grid: Sequence[float]) -> SweepTable:
     """Measures along a grid of inverse rates (sorted, positive)."""
     grid = [float(t) for t in tau_grid]
     if any(t <= 0.0 for t in grid) or any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("tau_grid must be positive and strictly increasing")
-    requests = [
-        QuenchMeasureRequest(dataclasses.replace(protocol, tau=t), n) for t in grid
-    ]
-    results = _run_rows(_measure_row, requests, workers)
-    data = np.full((len(grid), len(TAU_COLUMNS)), np.nan)
-    errors = []
-    for i, row, err in results:
-        if err is None:
-            data[i] = row
-        else:
-            data[i, 0] = grid[i]
-            errors.append((i, err))
-    return SweepTable(columns=TAU_COLUMNS, data=data, errors=tuple(errors))
+    protocols = [dataclasses.replace(protocol, tau=t) for t in grid]
+    return _run_rows(TAU_COLUMNS, _measure_row, grid, protocols, n)
 
 
-def sweep_j3(
-    tau: float,
-    n: int,
-    j3_grid: Sequence[float],
-    workers: int | None = None,
-) -> SweepTable:
+def sweep_j3(tau: float, n: int, j3_grid: Sequence[float]) -> SweepTable:
     """Three-spin measures along a grid of couplings at fixed inverse rate."""
     grid = [float(j) for j in j3_grid]
     if any(j < 0.0 for j in grid) or any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("j3_grid must be nonnegative and strictly increasing")
-    requests = [
-        QuenchMeasureRequest(QuenchProtocol(ProtocolKind.THREE_SPIN, tau, j3=j), n)
-        for j in grid
-    ]
-    results = _run_rows(_j3_row, requests, workers)
-    data = np.full((len(grid), len(J3_COLUMNS)), np.nan)
-    errors = []
-    for i, row, err in results:
-        if err is None:
-            data[i] = row
-        else:
-            data[i, 0] = grid[i]
-            errors.append((i, err))
-    return SweepTable(columns=J3_COLUMNS, data=data, errors=tuple(errors))
+    protocols = [QuenchProtocol(ProtocolKind.THREE_SPIN, tau, j3=j) for j in grid]
+    return _run_rows(J3_COLUMNS, _j3_row, grid, protocols, n)
 
 
 def fit_loglog(table: SweepTable, column: str, window: tuple[float, float]) -> ScalingFit:

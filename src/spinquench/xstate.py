@@ -1,25 +1,28 @@
 """Two-qubit X-state algebra: entropies, mutual information, discord, concurrence.
 
-States are either dense 4x4 density matrices (basis |A> tensor |B|, ordering
-uu, ud, du, dd) or `XStateDensityMatrix` instances whose only nonzero entries
-sit on the diagonal and anti-diagonal.  All entropies are in bits with the
-0 log 0 = 0 convention.
+States are `XStateDensityMatrix` instances, whose only nonzero entries sit
+on the diagonal and anti-diagonal (basis |A> tensor |B>, ordering uu, ud, du,
+dd).  The dense helpers (`mutual_information`, `conditional_state`,
+`conditional_entropy`, `concurrence_wootters`) also take a 4x4 matrix.  All
+entropies are in bits with the 0 log 0 = 0 convention.
 
 The classical correlation maximizes the information a projective measurement
 on qubit B yields about qubit A, over the full Bloch sphere of measurement
-directions; discord is mutual information minus that maximum.
+directions; discord is mutual information minus that maximum.  For an X
+state the best azimuth is known in closed form, so the search is over the
+polar angle alone.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import minimize
 
 _EIG_CLAMP = 1e-12  # eigenvalues in [-clamp, 0) are quadrature/roundoff noise
+_CLAMP_TOL = 1e-10  # correlator populations in [-tol, 0) are quadrature noise
 
 
 @dataclass(frozen=True)
@@ -164,10 +167,10 @@ def reduced_states(rho) -> tuple[np.ndarray, np.ndarray]:
     return np.einsum("abcb->ac", r), np.einsum("abad->bd", r)
 
 
-def build_xstate(c: CorrelatorSet, clamp_tol: float = 1e-10) -> XStateDensityMatrix:
+def build_xstate(c: CorrelatorSet) -> XStateDensityMatrix:
     """Assemble the X state whose correlators are `c`.
 
-    Populations that come out negative by no more than clamp_tol (quadrature
+    Populations that come out negative by no more than _CLAMP_TOL (quadrature
     noise in the correlators) are clamped to zero; anything worse raises,
     signalling an inconsistent correlator set.
     """
@@ -178,7 +181,7 @@ def build_xstate(c: CorrelatorSet, clamp_tol: float = 1e-10) -> XStateDensityMat
     }
     clamped = {}
     for name, v in raw.items():
-        if v < -clamp_tol:
+        if v < -_CLAMP_TOL:
             raise ValueError(f"correlators give {name} = {v}; not a density matrix")
         clamped[name] = max(v, 0.0)
     return XStateDensityMatrix(
@@ -216,18 +219,20 @@ def subsystem_entropy(c4: float) -> float:
 
 
 def mutual_information(rho) -> float:
-    """I = s(rho_A) + s(rho_B) - s(rho), in bits."""
-    arr = _as_matrix(rho)
+    """I = s(rho_A) + s(rho_B) - s(rho), in bits.
+
+    Both qubits of an X state have polarization <sz> = a_plus - a_minus.
+    """
     if isinstance(rho, XStateDensityMatrix):
-        joint = _entropy_bits(rho.eigenvalues())
+        val = 2.0 * subsystem_entropy(rho.a_plus - rho.a_minus) - _entropy_bits(rho.eigenvalues())
     else:
-        joint = _entropy_bits(np.linalg.eigvalsh(arr))
-    rho_a, rho_b = reduced_states(arr)
-    val = (
-        _entropy_bits(np.linalg.eigvalsh(rho_a))
-        + _entropy_bits(np.linalg.eigvalsh(rho_b))
-        - joint
-    )
+        arr = _as_matrix(rho)
+        rho_a, rho_b = reduced_states(arr)
+        val = (
+            _entropy_bits(np.linalg.eigvalsh(rho_a))
+            + _entropy_bits(np.linalg.eigvalsh(rho_b))
+            - _entropy_bits(np.linalg.eigvalsh(arr))
+        )
     return max(val, 0.0)
 
 
@@ -255,8 +260,9 @@ def conditional_state(rho, basis: MeasurementBasis, outcome: str):
 def conditional_entropy(rho, theta: float, phi: float) -> float:
     """Average post-measurement entropy of qubit A, measuring B along (theta, phi).
 
-    This is the objective minimized by `classical_correlation`; outcomes with
-    vanishing probability contribute zero (the p s(rho) -> 0 limit).
+    `classical_correlation` minimizes the same quantity in closed form over
+    phi; outcomes with vanishing probability contribute zero (the
+    p s(rho) -> 0 limit).
     """
     arr = _as_matrix(rho)
     r = arr.reshape(2, 2, 2, 2)
@@ -275,86 +281,98 @@ def conditional_entropy(rho, theta: float, phi: float) -> float:
     return total
 
 
-@lru_cache(maxsize=4)
-def _basis_grid(n_theta: int, n_phi: int):
-    theta = np.linspace(0.0, np.pi, n_theta)
-    phi = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
-    tt, pp = np.meshgrid(theta, phi, indexing="ij")
-    w = np.empty(tt.shape + (2,), dtype=complex)
-    w[..., 0] = np.cos(tt / 2.0)
-    w[..., 1] = np.sin(tt / 2.0) * np.exp(1j * pp)
-    return tt, pp, w
-
-
 def _xlog2(x: np.ndarray) -> np.ndarray:
     return np.where(x > 0.0, x * np.log2(np.where(x > 0.0, x, 1.0)), 0.0)
 
 
-def _grid_conditional_entropies(arr: np.ndarray, w: np.ndarray) -> np.ndarray:
-    r = arr.reshape(2, 2, 2, 2)
-    m = np.einsum("xyb,abcd,xyd->xyac", w.conj(), r, w)
-    rho_a = np.einsum("abcb->ac", r)
-    total = np.zeros(w.shape[:2])
-    for mk in (m, rho_a[None, None] - m):
-        p = np.einsum("xyaa->xy", mk).real
-        half = 0.5 * (mk[..., 0, 0].real - mk[..., 1, 1].real)
-        disc = np.hypot(half, np.abs(mk[..., 0, 1]))
-        lam_hi = np.clip(0.5 * p + disc, 0.0, None)
-        lam_lo = np.clip(0.5 * p - disc, 0.0, None)
-        # p * H(lam/p) = -sum xlog2(lam) + xlog2(p), avoiding division by p ~ 0
-        total += -_xlog2(lam_hi) - _xlog2(lam_lo) + _xlog2(p)
+def _polar_entropies(state: XStateDensityMatrix, c: np.ndarray) -> np.ndarray:
+    """Conditional entropy of A after measuring B at cos(theta) = c and the best phi.
+
+    In Pauli form rho = (1/4) sum T_uv s_u x s_v, both reduced Bloch vectors
+    are (0, 0, z) and the transverse block of T has largest singular value
+    t = 2(|b1| + |b2|).  Outcome +-1 occurs with p = (1 +- z c)/2 and leaves
+    A with eigenvalues p/2 +- |(0, 0, z) +- T n|/4, where
+    |(0, 0, z) +- T n|^2 = (z +- zz c)^2 + t^2 (1 - c^2) at the best phi.
+    """
+    z = state.a_plus - state.a_minus
+    zz = state.a_plus + state.a_minus - 2.0 * state.a_zero
+    t = 2.0 * (abs(state.b1) + abs(state.b2))
+    transverse = t * t * (1.0 - c * c)
+    total = np.zeros(np.shape(c))
+    for sign in (1.0, -1.0):
+        p = 0.5 * (1.0 + sign * z * c)
+        half = 0.25 * np.sqrt((z + sign * zz * c) ** 2 + transverse)
+        # p * H(lam/p) = -sum xlog2(lam) + xlog2(p), avoiding division by
+        # p ~ 0; _xlog2 reads roundoff-negative arguments as 0
+        total += -_xlog2(0.5 * p + half) - _xlog2(0.5 * p - half) + _xlog2(p)
     return total
 
 
-def _canonical_angles(theta: float, phi: float) -> tuple[float, float]:
-    # Map free optimizer angles back to theta in [0, pi], phi in [0, 2 pi).
-    nx = math.sin(theta) * math.cos(phi)
-    ny = math.sin(theta) * math.sin(phi)
-    nz = math.cos(theta)
-    theta_c = math.acos(min(max(nz, -1.0), 1.0))
-    if math.sin(theta_c) < 1e-12:
-        return theta_c, 0.0
-    return theta_c, math.atan2(ny, nx) % (2.0 * math.pi)
+_COS_GRID = np.linspace(0.0, 1.0, 65)  # contains both endpoints exactly
+_ZOOM = np.linspace(0.0, 1.0, 17)
+_ZOOM_ROUNDS = 10  # each round narrows a bracket 8-fold: 1/32 -> 3e-11
+_ROUNDOFF = 1e-14  # an interior sample must beat both endpoints by more than this
 
 
-def classical_correlation(
-    rho, grid_size: tuple[int, int] = (64, 64), angle_tol: float = 1e-6
-) -> tuple[float, MeasurementBasis]:
+def _best_cos_theta(state: XStateDensityMatrix) -> tuple[float, float]:
+    """(c*, S(c*)) minimizing `_polar_entropies` over c in [0, 1].
+
+    Both endpoints are evaluated exactly.  Every local minimum of the samples
+    on `_COS_GRID` (an endpoint counts when it is below its one neighbour)
+    opens a bracket reaching to the neighbouring samples, so an interior
+    minimum next to an endpoint is searched too; each bracket is zoomed onto
+    its lowest sample.  The lowest interior sample wins only if it beats the
+    better endpoint by more than roundoff.
+    """
+    grid_vals = _polar_entropies(state, _COS_GRID)
+    below_left = np.r_[True, grid_vals[1:] <= grid_vals[:-1]]
+    below_right = np.r_[grid_vals[:-1] <= grid_vals[1:], True]
+    idx = np.flatnonzero(below_left & below_right)
+    lo = _COS_GRID[np.maximum(idx - 1, 0)]
+    hi = _COS_GRID[np.minimum(idx + 1, len(_COS_GRID) - 1)]
+    rows = np.arange(len(idx))
+    cs, vals = [_COS_GRID], [grid_vals]
+    for _ in range(_ZOOM_ROUNDS):
+        pts = lo[:, None] + (hi - lo)[:, None] * _ZOOM
+        pv = _polar_entropies(state, pts)
+        j = np.argmin(pv, axis=1)
+        lo = pts[rows, np.maximum(j - 1, 0)]
+        hi = pts[rows, np.minimum(j + 1, len(_ZOOM) - 1)]
+        cs.append(pts.ravel())
+        vals.append(pv.ravel())
+    cs, vals = np.concatenate(cs), np.concatenate(vals)
+    k = int(np.argmin(vals))
+    end = 0 if grid_vals[0] <= grid_vals[-1] else -1
+    if vals[k] < grid_vals[end] - _ROUNDOFF:
+        return float(cs[k]), float(vals[k])
+    return float(_COS_GRID[end]), float(grid_vals[end])
+
+
+def _best_phi(state: XStateDensityMatrix) -> float:
+    # the transverse block maps the B direction (cos phi, sin phi) to
+    # 2|b2| (cos(phi - arg b2), sin(phi - arg b2)) + 2|b1| (cos(phi + arg b1),
+    # -sin(phi + arg b1)); the two align, and the norm peaks, at
+    # phi = (arg b2 - arg b1) / 2 modulo pi.  x % pi lies in [0, pi] even when
+    # it rounds up, so phi stays inside [0, 2 pi).
+    return (cmath.phase(state.b2) - cmath.phase(state.b1)) / 2.0 % math.pi
+
+
+def classical_correlation(rho: XStateDensityMatrix) -> tuple[float, MeasurementBasis]:
     """Maximal information about A extractable by a projective measurement on B.
 
-    Deterministic search: a uniform (theta, phi) grid, then Nelder-Mead
-    refinement (to `angle_tol`) from the best grid point plus fixed extra
-    starts (polar and equatorial axes, where X-state optima usually sit, and
-    the diagonal between them).  Returns the value in bits and the
-    maximizing basis.
+    For an X state the best azimuth phi has a closed form (`_best_phi`), and
+    what is left depends on c = cos(theta) alone; theta and pi - theta are the
+    same measurement, so c runs over [0, 1] (`_best_cos_theta`).  Returns the
+    value in bits and the maximizing basis.  Dense matrices are rejected.
     """
-    arr = _as_matrix(rho)
-    rho_a, _ = reduced_states(arr)
-    s_a = _entropy_bits(np.linalg.eigvalsh(rho_a))
-
-    tt, pp, w = _basis_grid(*grid_size)
-    ent = _grid_conditional_entropies(arr, w)
-    i, j = np.unravel_index(np.argmin(ent), ent.shape)
-
-    starts = [
-        (float(tt[i, j]), float(pp[i, j])),
-        (0.0, 0.0),
-        (np.pi / 2.0, 0.0),
-        (np.pi / 4.0, 0.0),
-    ]
-    best_val, best_x = np.inf, starts[0]
-    for x0 in starts:
-        res = minimize(
-            lambda x: conditional_entropy(arr, x[0], x[1]),
-            x0,
-            method="Nelder-Mead",
-            options={"xatol": angle_tol, "fatol": 1e-14, "maxiter": 600},
+    if not isinstance(rho, XStateDensityMatrix):
+        raise ValueError(
+            f"classical_correlation needs an XStateDensityMatrix, got {type(rho).__name__}"
         )
-        if res.fun < best_val:
-            best_val, best_x = float(res.fun), (float(res.x[0]), float(res.x[1]))
-
-    theta_c, phi_c = _canonical_angles(*best_x)
-    return max(s_a - best_val, 0.0), MeasurementBasis(theta_c, phi_c)
+    s_a = subsystem_entropy(rho.a_plus - rho.a_minus)
+    c_best, s_min = _best_cos_theta(rho)
+    basis = MeasurementBasis(math.acos(c_best), _best_phi(rho))
+    return max(s_a - s_min, 0.0), basis
 
 
 def discord(rho) -> float:

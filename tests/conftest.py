@@ -1,5 +1,5 @@
-"""Shared fixtures: random state generators, the polar-axis closed form, and
-the acceptance-criterion report."""
+"""Shared fixtures: random state generators, the polar-axis closed form, the
+general measurement-search oracle, and the acceptance-criterion report."""
 
 from __future__ import annotations
 
@@ -7,8 +7,17 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
-from spinquench.xstate import XStateDensityMatrix
+from spinquench.xstate import (
+    MeasurementBasis,
+    XStateDensityMatrix,
+    classical_correlation,
+    conditional_entropy,
+    mutual_information,
+    reduced_states,
+    von_neumann_entropy,
+)
 
 _CRITERION_RESULTS: list[tuple[str, bool, str]] = []
 
@@ -83,3 +92,81 @@ def closed_form_C_polar_n2(beta0: float, beta2: float) -> float:
         - weighted(1.0 - beta0, (1.0 - beta0) ** 2 - beta2**2)
         - weighted(beta0, beta0**2 - beta2**2)
     )
+
+
+def _xlog2(x: np.ndarray) -> np.ndarray:
+    return np.where(x > 0.0, x * np.log2(np.where(x > 0.0, x, 1.0)), 0.0)
+
+
+def _basis_grid(n_theta: int, n_phi: int):
+    theta = np.linspace(0.0, np.pi, n_theta)
+    phi = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
+    tt, pp = np.meshgrid(theta, phi, indexing="ij")
+    w = np.empty(tt.shape + (2,), dtype=complex)
+    w[..., 0] = np.cos(tt / 2.0)
+    w[..., 1] = np.sin(tt / 2.0) * np.exp(1j * pp)
+    return tt, pp, w
+
+
+_GRID = _basis_grid(64, 64)
+
+
+def _grid_conditional_entropies(arr: np.ndarray, w: np.ndarray) -> np.ndarray:
+    r = arr.reshape(2, 2, 2, 2)
+    m = np.einsum("xyb,abcd,xyd->xyac", w.conj(), r, w)
+    rho_a = np.einsum("abcb->ac", r)
+    total = np.zeros(w.shape[:2])
+    for mk in (m, rho_a[None, None] - m):
+        p = np.einsum("xyaa->xy", mk).real
+        half = 0.5 * (mk[..., 0, 0].real - mk[..., 1, 1].real)
+        disc = np.hypot(half, np.abs(mk[..., 0, 1]))
+        lam_hi = np.clip(0.5 * p + disc, 0.0, None)
+        lam_lo = np.clip(0.5 * p - disc, 0.0, None)
+        total += -_xlog2(lam_hi) - _xlog2(lam_lo) + _xlog2(p)
+    return total
+
+
+def oracle_classical_correlation(rho) -> float:
+    """Classical correlation of any two-qubit state (dense or X), in bits.
+
+    The general search over the Bloch sphere of measurements on B: a 64x64
+    (theta, phi) grid of the dense conditional entropy, then Nelder-Mead
+    (angle tolerance 1e-6) from the best grid point and from the polar,
+    equatorial and diagonal axes.  It assumes nothing about the state, and a
+    search can only undershoot the true maximum.
+    """
+    arr = rho.to_matrix() if isinstance(rho, XStateDensityMatrix) else np.asarray(rho)
+    s_a = von_neumann_entropy(reduced_states(arr)[0])
+    tt, pp, w = _GRID
+    ent = _grid_conditional_entropies(arr, w)
+    i, j = np.unravel_index(np.argmin(ent), ent.shape)
+    starts = [(tt[i, j], pp[i, j]), (0.0, 0.0), (np.pi / 2.0, 0.0), (np.pi / 4.0, 0.0)]
+    best = min(
+        minimize(
+            lambda x: conditional_entropy(arr, x[0], x[1]),
+            x0,
+            method="Nelder-Mead",
+            options={"xatol": 1e-6, "fatol": 1e-14, "maxiter": 600},
+        ).fun
+        for x0 in starts
+    )
+    return max(s_a - float(best), 0.0)
+
+
+def oracle_discord(rho) -> float:
+    """Mutual information minus `oracle_classical_correlation`, in bits."""
+    return mutual_information(rho) - oracle_classical_correlation(rho)
+
+
+def basis_value(state: XStateDensityMatrix, basis: MeasurementBasis) -> float:
+    """Information about A that measuring B in `basis` yields, from the dense state."""
+    s_a = von_neumann_entropy(reduced_states(state.to_matrix())[0])
+    return s_a - conditional_entropy(state.to_matrix(), basis.theta, basis.phi)
+
+
+def assert_matches_oracle(state: XStateDensityMatrix) -> None:
+    """The library's C is not below the oracle's (which can only undershoot),
+    and the basis it returns achieves the value it reports."""
+    c_val, basis = classical_correlation(state)
+    assert c_val >= oracle_classical_correlation(state) - 1e-12
+    assert basis_value(state, basis) == pytest.approx(c_val, abs=1e-12)

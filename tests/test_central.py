@@ -30,6 +30,7 @@ from spinquench.central import (
     trace_run,
     weak_coupling_D,
 )
+from conftest import assert_matches_oracle
 from spinquench.kernels import QuenchProtocol, excitation_probability
 from spinquench.xstate import concurrence_wootters, discord, mutual_information
 
@@ -377,6 +378,43 @@ class TestConcurrenceWerner:
         for a, d in ((0.3, 0.2), (0.9, 0.7), (0.6, 1.0)):
             rho = qubit_state(a, d)
             assert 0.0 <= discord(rho) <= mutual_information(rho) + 1e-12
+
+
+def luo_discord(c1: float, c2: float, c3: float) -> float:
+    """Discord of the Bell-diagonal state with correlations (c1, c2, c3), in bits.
+
+    Luo, PRA 77, 042303 (2008): I = 2 + sum lam log2 lam over the four
+    eigenvalues and C = 1 - h((1 + c)/2) with c = max |c_i|.
+    """
+
+    def xlog2(x):
+        return x * math.log2(x) if x > 0.0 else 0.0
+
+    lam = (
+        (1 - c1 - c2 - c3) / 4,
+        (1 - c1 + c2 + c3) / 4,
+        (1 + c1 - c2 + c3) / 4,
+        (1 + c1 + c2 - c3) / 4,
+    )
+    c = max(abs(c1), abs(c2), abs(c3))
+    return 2.0 + sum(xlog2(x) for x in lam) - 0.5 * (xlog2(1 - c) + xlog2(1 + c))
+
+
+class TestQubitDiscord:
+    GRID = [(a, d) for a in np.linspace(0.0, 1.0, 6) for d in np.linspace(0.0, 1.0, 6)]
+
+    def test_matches_luo_closed_form(self):
+        # the reduced state is Bell-diagonal with c1 = -c2 = a sqrt(d), c3 = a
+        for a in np.linspace(0.0, 1.0, 11):
+            for d in np.linspace(0.0, 1.0, 11):
+                root = a * math.sqrt(d)
+                assert discord(qubit_state(a, d)) == pytest.approx(
+                    luo_discord(root, -root, a), abs=1e-12
+                )
+
+    @pytest.mark.parametrize("a,d", GRID)
+    def test_against_general_oracle(self, a, d):
+        assert_matches_oracle(qubit_state(a, d))
 
 
 class TestTraceRun:

@@ -113,6 +113,15 @@ class TestSweep:
         assert code == 2
         assert "sweep needs" in err
 
+    def test_workers_validated(self, capsys):
+        code, _, err = run_cli(
+            capsys,
+            "sweep", "--protocol", "ising", "--gamma", "1", "--n", "2",
+            "--tau-min", "0.5", "--tau-max", "8", "--workers", "0",
+        )
+        assert code == 2
+        assert "--workers" in err
+
 
 class TestFit:
     def _write_sweep(self, path, slope=-0.5):
@@ -260,12 +269,13 @@ class TestExitCodes:
             return real(protocol, n)
 
         monkeypatch.setattr(scaling, "measures", flaky)
-        # serial workers so the monkeypatch reaches the row computation
+        # rows are computed in this process whatever --workers says, so the
+        # monkeypatch reaches the row computation
         code, out, err = run_cli(
             capsys,
             "sweep", "--protocol", "ising", "--gamma", "1", "--n", "2",
             "--tau-min", "1", "--tau-max", "4", "--tau-points", "3",
-            "--workers", "1",
+            "--workers", "2",
         )
         assert code == 3
         assert "row 1 failed" in err

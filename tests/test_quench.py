@@ -19,7 +19,6 @@ import pytest
 
 from spinquench.kernels import QuenchProtocol, compute_betas
 from spinquench.quench import (
-    QuenchMeasureRequest,
     closed_form_C_n2,
     closed_form_I_n2,
     correlators,
@@ -102,7 +101,7 @@ class TestCorrelators:
         with pytest.raises(ValueError):
             correlators(QuenchProtocol.ising(1.0, 1.0), 3)
         with pytest.raises(ValueError):
-            QuenchMeasureRequest(QuenchProtocol.ising(1.0, 1.0), 8)
+            measures(QuenchProtocol.ising(1.0, 1.0), 8)
 
 
 class TestClosedFormI:

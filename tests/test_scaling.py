@@ -104,12 +104,15 @@ class TestSweepTau:
         assert np.isnan(t.column("Q")[1])
         assert np.isfinite(t.column("Q")[[0, 2]]).all()
 
-    def test_workers_give_identical_results(self):
+    def test_chunked_and_rerun_sweeps_are_bitwise_identical(self):
+        # a row depends only on its own grid point: the sweep over the whole
+        # grid equals the stacked sweeps over its two halves, and a rerun
         proto = QuenchProtocol.ising(1.0, 1.0)
-        grid = [0.5, 2.0, 8.0]
-        serial = sweep_tau(proto, 2, grid, workers=1)
-        parallel = sweep_tau(proto, 2, grid, workers=3)
-        assert np.array_equal(serial.data, parallel.data)
+        grid = [0.3, 0.9, 2.0, 8.0, 40.0, 300.0]
+        whole = sweep_tau(proto, 2, grid)
+        halves = np.vstack([sweep_tau(proto, 2, grid[:3]).data, sweep_tau(proto, 2, grid[3:]).data])
+        assert whole.data.tobytes() == halves.tobytes()
+        assert whole.data.tobytes() == sweep_tau(proto, 2, grid).data.tobytes()
 
 
 class TestSweepJ3:

@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_product_state, random_x_state
+from conftest import (
+    assert_matches_oracle,
+    basis_value,
+    oracle_classical_correlation,
+    oracle_discord,
+    random_product_state,
+    random_x_state,
+)
 from spinquench.kernels import QuenchProtocol
 from spinquench.quench import correlators
 from spinquench.xstate import (
@@ -178,8 +185,26 @@ class TestClassicalCorrelation:
         assert c_val == pytest.approx(0.0, abs=1e-10)
 
     def test_maximally_mixed_zero(self):
-        c_val, _ = classical_correlation(np.eye(4, dtype=complex) / 4.0)
+        c_val, _ = classical_correlation(build_xstate(MAXMIX))
         assert c_val == pytest.approx(0.0, abs=1e-12)
+        dense = np.eye(4, dtype=complex) / 4.0
+        assert oracle_classical_correlation(dense) == pytest.approx(0.0, abs=1e-12)
+
+    def test_x_state_path_builds_no_dense_matrix(self, monkeypatch):
+        def no_matrix(self):
+            raise AssertionError("the X-state path built the 4x4 matrix")
+
+        state = random_x_state(np.random.default_rng(3))
+        monkeypatch.setattr(XStateDensityMatrix, "to_matrix", no_matrix)
+        classical_correlation(state)
+        mutual_information(state)
+        discord(state)
+
+    def test_dense_input_rejected(self):
+        with pytest.raises(ValueError):
+            classical_correlation(np.eye(4, dtype=complex) / 4.0)
+        with pytest.raises(ValueError):
+            discord(_bell_matrix())
 
     def test_bell_state_one_bit(self):
         c_val, _ = classical_correlation(build_xstate(BELL_PHI))
@@ -193,13 +218,14 @@ class TestClassicalCorrelation:
         assert max(values) - min(values) < 1e-9
 
     def test_grid_and_refined_agree_on_quenched_family(self):
-        # the optimum for these states sits on the polar axis, which the grid
-        # contains exactly, so refinement must not move the value
+        # the optimum for these states sits on the polar axis, which the
+        # dense theta scan contains exactly
         for tau in (0.4, 5.0, 40.0):
-            rho = build_xstate(correlators(QuenchProtocol.ising(1.0, tau), 2)).to_matrix()
+            state = build_xstate(correlators(QuenchProtocol.ising(1.0, tau), 2))
+            rho = state.to_matrix()
             tt = np.linspace(0.0, np.pi, 64)
             grid_best = min(conditional_entropy(rho, th, 0.0) for th in tt)
-            c_val, _ = classical_correlation(rho)
+            c_val, _ = classical_correlation(state)
             rho_a = np.einsum("abcb->ac", rho.reshape(2, 2, 2, 2))
             s_a = von_neumann_entropy(rho_a)
             assert (s_a - grid_best) == pytest.approx(c_val, abs=1e-8)
@@ -209,10 +235,60 @@ class TestClassicalCorrelation:
         assert 0.0 <= basis.theta <= np.pi
         assert 0.0 <= basis.phi < 2.0 * np.pi
 
+    def test_phi_just_below_zero_wraps_into_range(self):
+        # arg b2 - arg b1 = -2e-17 puts the best azimuth at -1e-17 before it
+        # is wrapped; -1e-17 % (2 pi) rounds to exactly 2 pi, outside the
+        # basis range, so the wrap must not be taken modulo 2 pi
+        state = XStateDensityMatrix(
+            a_plus=0.3, a_minus=0.2, a_zero=0.25, b1=0.1, b2=complex(0.1, -2e-18)
+        )
+        assert np.angle(state.b2) - np.angle(state.b1) == -2e-17
+        c_val, basis = classical_correlation(state)
+        assert 0.0 <= basis.phi < 2.0 * np.pi
+        assert basis_value(state, basis) == pytest.approx(c_val, abs=1e-12)
+
+    def test_interior_optimum_next_to_polar_axis(self):
+        # draw 8822 of random_x_state(default_rng(7)); a dense 721x720
+        # (theta, phi) scan refined by Nelder-Mead puts the optimum at
+        # cos theta = 0.99133, phi = 1.02812 with C = 0.152186158675666,
+        # 6.4e-8 above the polar-axis value 0.152186094821297
+        state = XStateDensityMatrix(
+            a_plus=0.6296309423983517,
+            a_minus=0.16474426073926177,
+            a_zero=0.10281239843119325,
+            b1=0.062156823057212436 + 0.1835055160146407j,
+            b2=-0.021990267891769104 - 0.0035230190118743913j,
+        )
+        c_val, basis = classical_correlation(state)
+        assert c_val >= 0.152186158675 - 1e-12
+        assert math.cos(basis.theta) == pytest.approx(0.99133, abs=1e-5)
+        assert basis.phi == pytest.approx(1.02812, abs=1e-5)
+        assert basis_value(state, basis) == pytest.approx(c_val, abs=1e-12)
+
+
+class TestOracleAgreement:
+    def test_random_complex_x_states(self):
+        rng = np.random.default_rng(4)
+        for _ in range(200):
+            assert_matches_oracle(random_x_state(rng))
+
+    @pytest.mark.parametrize(
+        "proto",
+        [QuenchProtocol.ising(g, tau) for g in (1.0, 0.3) for tau in (0.2, 3.0, 100.0)]
+        + [QuenchProtocol.multicritical(tau) for tau in (1e2, 1e4)]
+        + [QuenchProtocol.three_spin(j3, 50.0) for j3 in (0.2, 0.5, 0.8)],
+        ids=lambda p: f"{p.kind.value}-tau{p.tau:g}-gamma{p.gamma}-j3{p.j3}",
+    )
+    def test_quench_states(self, proto):
+        for n in (2, 4, 6):
+            assert_matches_oracle(build_xstate(correlators(proto, n)))
+
 
 class TestDiscord:
     def test_maximally_mixed(self):
-        assert discord(np.eye(4, dtype=complex) / 4.0) == pytest.approx(0.0, abs=1e-12)
+        assert discord(build_xstate(MAXMIX)) == pytest.approx(0.0, abs=1e-12)
+        dense = np.eye(4, dtype=complex) / 4.0
+        assert oracle_discord(dense) == pytest.approx(0.0, abs=1e-12)
 
     def test_pure_product(self):
         assert discord(build_xstate(CorrelatorSet(0.0, 0.0, 1.0, 1.0))) == pytest.approx(
@@ -220,11 +296,11 @@ class TestDiscord:
         )
 
     def test_product_state_fuzz(self, rng):
-        # discord vanishes for every product state; the optimizer must reach
-        # C = I (both are zero here)
+        # discord vanishes for every product state; the general oracle must
+        # reach C = I (both are zero here)
         for _ in range(100):
             rho = random_product_state(rng)
-            assert discord(rho) <= 1e-8
+            assert oracle_discord(rho) <= 1e-8
 
     def test_bell_state(self):
         assert discord(build_xstate(BELL_PHI)) == pytest.approx(1.0, abs=1e-9)
@@ -232,7 +308,7 @@ class TestDiscord:
     def test_classical_state_zero_discord(self):
         # diagonal in a product basis: all correlation is classical
         rho = np.diag([0.4, 0.1, 0.2, 0.3]).astype(complex)
-        assert discord(rho) == pytest.approx(0.0, abs=1e-10)
+        assert oracle_discord(rho) == pytest.approx(0.0, abs=1e-10)
 
 
 class TestConcurrence:
