@@ -2,8 +2,9 @@
 """Trace the decoherence factor and qubit correlations through the driven sweep.
 
 The defaults reproduce the strong-coupling collapse-and-revival regime
-(N = 500, delta = 0.01, tau = 250); it runs in about 7 s on a 2-core x86-64 VM,
-about 2 s of it in the discord search (426 states for each of three Werner weights).
+(N = 500, delta = 0.01, tau = 250); it runs in 4.5-5 s on a 2-core x86-64 VM,
+about 0.1 s of it in the discord search (one batch of 426 states for each of
+three Werner weights).
 Use --delta 1e-4 with --t0 0 --t1 300 for the weak-coupling decay regime.
 """
 
@@ -14,7 +15,7 @@ import numpy as np
 
 from spinquench import CentralConfig, trace_run
 from spinquench.central import concurrence_werner, qubit_state
-from spinquench.xstate import discord
+from spinquench.xstate import discords
 
 
 def main():
@@ -50,7 +51,7 @@ def main():
         if a == args.a[0]:
             q, cnc = trace.discord, trace.concurrence
         else:
-            q = np.array([discord(qubit_state(a, d)) for d in trace.decoherence])
+            q = discords([qubit_state(a, d) for d in trace.decoherence])
             cnc = np.array([concurrence_werner(a, d) for d in trace.decoherence])
         out = args.outdir / f"decoherence_delta{args.delta:g}_a{a:g}.csv"
         data = np.column_stack([trace.t, trace.h, trace.decoherence, q, cnc])

@@ -31,7 +31,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .xstate import XStateDensityMatrix, discord
+from .xstate import XStateDensityMatrix, discords
+
+# trace_run no longer calls discord; it stays importable here because the
+# benchmark's tracer wraps it at this module (LOOKUPS in bench/tracing.py).
+from .xstate import discord  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -415,31 +419,26 @@ def concurrence_werner(a: float, d: float) -> float:
 def trace_run(config: CentralConfig) -> DecoherenceTrace:
     """March the environment over config.t_grid and record (D, Q, C_nc) rows.
 
-    All modes advance incrementally (never re-integrated from the start);
-    discord comes from `xstate.discord` on the reduced qubit state, an X
-    state.
+    All modes advance incrementally (never re-integrated from the start) and
+    D is recorded at every observation time first.  The discord of the
+    reduced qubit states, X states, then comes from one `xstate.discords`
+    call over all of them.
     """
     ens = ModeEnsemble(config)
-    ts, hs, ds, qs, cs = [], [], [], [], []
+    ds = []
     for t in config.t_grid:
         ens.advance(t)
-        d = ens.decoherence_factor()
-        rho = qubit_state(config.a, d)
-        ts.append(t)
-        hs.append(config.h_of_t(t))
-        ds.append(d)
-        qs.append(discord(rho))
-        cs.append(concurrence_werner(config.a, d))
+        ds.append(ens.decoherence_factor())
     logger.debug(
         "%d Magnus steps: error estimate of D %.2e, norm defect %.2e",
         ens.steps, ens.error_estimate, ens.max_step_drift,
     )
     return DecoherenceTrace(
-        t=np.array(ts),
-        h=np.array(hs),
+        t=np.array(config.t_grid, dtype=float),
+        h=np.array([config.h_of_t(t) for t in config.t_grid]),
         decoherence=np.array(ds),
-        discord=np.array(qs),
-        concurrence=np.array(cs),
+        discord=discords([qubit_state(config.a, d) for d in ds]),
+        concurrence=np.array([concurrence_werner(config.a, d) for d in ds]),
         max_step_drift=ens.max_step_drift,
         steps=ens.steps,
         error_estimate=ens.error_estimate,

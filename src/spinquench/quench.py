@@ -2,8 +2,8 @@
 
 The correlators at separation n are polynomials in the moments beta_0 .. beta_n
 (closed expressions exist for n = 2, 4, 6).  `measures` runs the full pipeline
-correlators -> X state -> {mutual information, classical correlation, discord,
-concurrence}.
+moments -> correlators -> X state (`final_state`) -> {mutual information,
+classical correlation, discord, concurrence} (`measure_state`).
 
 `closed_form_I_n2` / `closed_form_C_n2` evaluate the printed n = 2 expressions
 verbatim as an independent cross-check of the pipeline.  Note: the closed-form
@@ -19,10 +19,12 @@ from __future__ import annotations
 
 import math
 
-from .kernels import QuenchProtocol, compute_betas
+from .kernels import BetaSet, QuenchProtocol, compute_betas
 from .xstate import (
     CorrelationReport,
     CorrelatorSet,
+    MeasurementBasis,
+    XStateDensityMatrix,
     build_xstate,
     classical_correlation,
     concurrence_xstate,
@@ -32,16 +34,19 @@ from .xstate import (
 _SEPARATIONS = (2, 4, 6)
 
 
-def correlators(protocol: QuenchProtocol, n: int) -> CorrelatorSet:
-    """Two-spin correlators at separation n in the final state of the quench.
+def _check_separation(n: int):
+    if n not in _SEPARATIONS:
+        raise ValueError(f"separation n must be one of {_SEPARATIONS}, got {n}")
+
+
+def correlators_from_betas(betas: BetaSet, n: int) -> CorrelatorSet:
+    """Two-spin correlators at separation n from the moments beta_0 .. beta_n.
 
     c1 is 1/4 of the n x n Toeplitz determinant det[G_{i-j+1}] with
     G_r = 2 beta_r - delta_r0 and the odd moments taken as zero;
     c4 = -G_0 = 1 - 2 beta_0 and c3 = c4^2 - 4 beta_n^2.
     """
-    if n not in _SEPARATIONS:
-        raise ValueError(f"separation n must be one of {_SEPARATIONS}, got {n}")
-    betas = compute_betas(protocol, n_max=n)
+    _check_separation(n)
     b0 = betas[0]
     m = 1.0 - 2.0 * b0
     c4 = m
@@ -62,12 +67,25 @@ def correlators(protocol: QuenchProtocol, n: int) -> CorrelatorSet:
     return CorrelatorSet(c1=c1, c2=c1, c3=c3, c4=c4)
 
 
-def measures(protocol: QuenchProtocol, n: int) -> CorrelationReport:
-    """Full correlation report for one (protocol, separation) point."""
-    c = correlators(protocol, n)
-    state = build_xstate(c)
-    i_val = mutual_information(state)
-    c_val, basis = classical_correlation(state)
+def correlators(protocol: QuenchProtocol, n: int) -> CorrelatorSet:
+    """Two-spin correlators at separation n in the final state of the quench."""
+    _check_separation(n)
+    return correlators_from_betas(compute_betas(protocol, n_max=n), n)
+
+
+def final_state(protocol: QuenchProtocol, n: int) -> tuple[XStateDensityMatrix, BetaSet]:
+    """X state of two spins n sites apart after the quench, and the moments
+    beta_0 .. beta_n it was built from."""
+    _check_separation(n)
+    betas = compute_betas(protocol, n_max=n)
+    return build_xstate(correlators_from_betas(betas, n)), betas
+
+
+def correlation_report(
+    state: XStateDensityMatrix, i_val: float, c_val: float, basis: MeasurementBasis
+) -> CorrelationReport:
+    """Report of one X state from its mutual information and its maximized
+    classical correlation, clamped so that C <= I and Q >= 0."""
     return CorrelationReport(
         mutual_information=i_val,
         classical_correlation=min(c_val, i_val),
@@ -75,6 +93,16 @@ def measures(protocol: QuenchProtocol, n: int) -> CorrelationReport:
         concurrence=concurrence_xstate(state),
         argmax_basis=basis,
     )
+
+
+def measure_state(state: XStateDensityMatrix) -> CorrelationReport:
+    """Full correlation report of one X state."""
+    return correlation_report(state, mutual_information(state), *classical_correlation(state))
+
+
+def measures(protocol: QuenchProtocol, n: int) -> CorrelationReport:
+    """Full correlation report for one (protocol, separation) point."""
+    return measure_state(final_state(protocol, n)[0])
 
 
 def _term(x: float) -> float:

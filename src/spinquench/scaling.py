@@ -2,9 +2,10 @@
 
 `sweep_tau` materializes the measures over a grid of inverse rates;
 `sweep_j3` scans the three-spin coupling at fixed rate.  `fit_loglog`
-extracts d(ln y)/d(ln x) by ordinary least squares.  Rows are computed
-one after another in grid order; a row that fails holds NaNs and is listed
-in the table's errors.
+extracts d(ln y)/d(ln x) by ordinary least squares.  The moments,
+correlators and X state of each row are computed one after another in grid
+order; the measurement search then runs once over all of the sweep's
+states.  A row that fails holds NaNs and is listed in the table's errors.
 """
 
 from __future__ import annotations
@@ -15,8 +16,19 @@ from typing import Sequence
 
 import numpy as np
 
-from .kernels import ProtocolKind, QuenchProtocol, defect_density
-from .quench import measures
+from .kernels import ProtocolKind, QuenchProtocol
+from .quench import correlation_report, final_state
+from .xstate import (
+    MeasurementBasis,
+    XStateDensityMatrix,
+    classical_correlations,
+    mutual_information,
+)
+
+# The sweeps call neither name; both stay importable here because the
+# benchmark's tracer wraps them at this module (LOOKUPS in bench/tracing.py).
+from .kernels import defect_density  # noqa: F401
+from .quench import measures  # noqa: F401
 
 TAU_COLUMNS = ("tau", "n", "beta0", "I", "C", "Q", "Cnc")
 J3_COLUMNS = ("j3", "Q", "Cnc")
@@ -70,34 +82,52 @@ class ScalingFit:
             raise ValueError(f"r_squared = {self.r_squared} outside [0, 1]")
 
 
-def _measure_row(protocol: QuenchProtocol, n: int) -> tuple:
-    rep = measures(protocol, n)
-    return (
-        protocol.tau,
-        float(n),
-        defect_density(protocol),
-        rep.mutual_information,
-        rep.classical_correlation,
-        rep.discord,
-        rep.concurrence,
-    )
+def _tau_row(protocol: QuenchProtocol, n: int) -> tuple[tuple, XStateDensityMatrix]:
+    state, betas = final_state(protocol, n)
+    return (protocol.tau, float(n), betas[0]), state
 
 
-def _j3_row(protocol: QuenchProtocol, n: int) -> tuple:
-    rep = measures(protocol, n)
-    return (protocol.j3, rep.discord, rep.concurrence)
+def _j3_row(protocol: QuenchProtocol, n: int) -> tuple[tuple, XStateDensityMatrix]:
+    state, _ = final_state(protocol, n)
+    return (protocol.j3,), state
+
+
+_REPORT_FIELDS = {
+    "I": "mutual_information",
+    "C": "classical_correlation",
+    "Q": "discord",
+    "Cnc": "concurrence",
+}
 
 
 def _run_rows(columns, row, grid, protocols, n) -> SweepTable:
+    """Build every row's X state, then measure all of them at once.
+
+    `row` gives a row's leading columns and its X state; it and the mutual
+    information run row by row, so a row that fails there holds NaNs and is
+    listed in the errors while the others go on.  The measurement search then
+    runs once over the states that were built (`classical_correlations`),
+    and each row's report is checked on its own.
+    """
     data = np.full((len(grid), len(columns)), np.nan)
+    data[:, 0] = grid
     errors = []
-    for i, (x, protocol) in enumerate(zip(grid, protocols)):
+    built = []  # (row index, leading columns, state, mutual information)
+    for i, protocol in enumerate(protocols):
         try:
-            data[i] = row(protocol, n)
+            lead, state = row(protocol, n)
+            built.append((i, lead, state, mutual_information(state)))
         except Exception as exc:  # noqa: BLE001 - row failures are data
-            data[i, 0] = x
             errors.append((i, str(exc)))
-    return SweepTable(columns=columns, data=data, errors=tuple(errors))
+    c_vals, thetas, phis = classical_correlations([b[2] for b in built])
+    for (i, lead, state, i_val), c_val, theta, phi in zip(built, c_vals, thetas, phis):
+        try:
+            rep = correlation_report(state, i_val, float(c_val), MeasurementBasis(theta, phi))
+            fields = (getattr(rep, _REPORT_FIELDS[c]) for c in columns[len(lead):])
+            data[i] = (*lead, *fields)
+        except Exception as exc:  # noqa: BLE001 - row failures are data
+            errors.append((i, str(exc)))
+    return SweepTable(columns=columns, data=data, errors=tuple(sorted(errors)))
 
 
 def sweep_tau(protocol: QuenchProtocol, n: int, tau_grid: Sequence[float]) -> SweepTable:
@@ -106,7 +136,7 @@ def sweep_tau(protocol: QuenchProtocol, n: int, tau_grid: Sequence[float]) -> Sw
     if any(t <= 0.0 for t in grid) or any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("tau_grid must be positive and strictly increasing")
     protocols = [dataclasses.replace(protocol, tau=t) for t in grid]
-    return _run_rows(TAU_COLUMNS, _measure_row, grid, protocols, n)
+    return _run_rows(TAU_COLUMNS, _tau_row, grid, protocols, n)
 
 
 def sweep_j3(tau: float, n: int, j3_grid: Sequence[float]) -> SweepTable:

@@ -10,7 +10,10 @@ The classical correlation maximizes the information a projective measurement
 on qubit B yields about qubit A, over the full Bloch sphere of measurement
 directions; discord is mutual information minus that maximum.  For an X
 state the best azimuth is known in closed form, so the search is over the
-polar angle alone.
+polar angle alone.  That search runs over a whole batch of states in one
+array pass (`classical_correlations`, `discords`); `classical_correlation`
+and `discord` are batches of one, and a state's result does not depend on
+the rest of its batch.
 """
 
 from __future__ import annotations
@@ -142,6 +145,10 @@ def _entropy_bits(eigs: np.ndarray) -> float:
     return float(-np.sum(pos * np.log2(pos)))
 
 
+def _xlog2(x: np.ndarray) -> np.ndarray:
+    return np.where(x > 0.0, x * np.log2(np.where(x > 0.0, x, 1.0)), 0.0)
+
+
 def _as_matrix(rho) -> np.ndarray:
     if isinstance(rho, XStateDensityMatrix):
         return rho.to_matrix()
@@ -210,12 +217,17 @@ def xstate_eigenvalues(state) -> np.ndarray:
     return state.eigenvalues()
 
 
-def subsystem_entropy(c4: float) -> float:
-    """Entropy in bits of a single qubit with polarization <sz> = c4."""
-    if abs(c4) > 1.0 + 1e-12:
-        raise ValueError(f"|c4| = {abs(c4)} exceeds 1")
-    c4 = min(max(c4, -1.0), 1.0)
-    return _entropy_bits(np.array([(1.0 + c4) / 2.0, (1.0 - c4) / 2.0]))
+def subsystem_entropy(c4):
+    """Entropy in bits of a single qubit with polarization <sz> = c4.
+
+    Takes a float or, elementwise, an array of polarizations.
+    """
+    c4 = np.asarray(c4, dtype=float)
+    if np.any(np.abs(c4) > 1.0 + 1e-12):
+        raise ValueError(f"|c4| = {np.abs(c4).max()} exceeds 1")
+    c4 = np.clip(c4, -1.0, 1.0)
+    s = -(_xlog2((1.0 + c4) / 2.0) + _xlog2((1.0 - c4) / 2.0))
+    return float(s) if s.ndim == 0 else s
 
 
 def mutual_information(rho) -> float:
@@ -281,11 +293,7 @@ def conditional_entropy(rho, theta: float, phi: float) -> float:
     return total
 
 
-def _xlog2(x: np.ndarray) -> np.ndarray:
-    return np.where(x > 0.0, x * np.log2(np.where(x > 0.0, x, 1.0)), 0.0)
-
-
-def _polar_entropies(state: XStateDensityMatrix, c: np.ndarray) -> np.ndarray:
+def _polar_entropies(z: np.ndarray, zz: np.ndarray, t: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Conditional entropy of A after measuring B at cos(theta) = c and the best phi.
 
     In Pauli form rho = (1/4) sum T_uv s_u x s_v, both reduced Bloch vectors
@@ -293,18 +301,16 @@ def _polar_entropies(state: XStateDensityMatrix, c: np.ndarray) -> np.ndarray:
     t = 2(|b1| + |b2|).  Outcome +-1 occurs with p = (1 +- z c)/2 and leaves
     A with eigenvalues p/2 +- |(0, 0, z) +- T n|/4, where
     |(0, 0, z) +- T n|^2 = (z +- zz c)^2 + t^2 (1 - c^2) at the best phi.
+    The per-state parameters (z, zz, t) broadcast against the samples c.
     """
-    z = state.a_plus - state.a_minus
-    zz = state.a_plus + state.a_minus - 2.0 * state.a_zero
-    t = 2.0 * (abs(state.b1) + abs(state.b2))
     transverse = t * t * (1.0 - c * c)
-    total = np.zeros(np.shape(c))
+    total = 0.0
     for sign in (1.0, -1.0):
         p = 0.5 * (1.0 + sign * z * c)
         half = 0.25 * np.sqrt((z + sign * zz * c) ** 2 + transverse)
         # p * H(lam/p) = -sum xlog2(lam) + xlog2(p), avoiding division by
         # p ~ 0; _xlog2 reads roundoff-negative arguments as 0
-        total += -_xlog2(0.5 * p + half) - _xlog2(0.5 * p - half) + _xlog2(p)
+        total = total + (-_xlog2(0.5 * p + half) - _xlog2(0.5 * p - half) + _xlog2(p))
     return total
 
 
@@ -314,38 +320,57 @@ _ZOOM_ROUNDS = 10  # each round narrows a bracket 8-fold: 1/32 -> 3e-11
 _ROUNDOFF = 1e-14  # an interior sample must beat both endpoints by more than this
 
 
-def _best_cos_theta(state: XStateDensityMatrix) -> tuple[float, float]:
-    """(c*, S(c*)) minimizing `_polar_entropies` over c in [0, 1].
+def _best_cos_theta(z: np.ndarray, zz: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(c*, S(c*)) minimizing `_polar_entropies` over c in [0, 1], one entry per state.
 
-    Both endpoints are evaluated exactly.  Every local minimum of the samples
-    on `_COS_GRID` (an endpoint counts when it is below its one neighbour)
-    opens a bracket reaching to the neighbouring samples, so an interior
-    minimum next to an endpoint is searched too; each bracket is zoomed onto
-    its lowest sample.  The lowest interior sample wins only if it beats the
-    better endpoint by more than roundoff.
+    Both endpoints are evaluated exactly.  Every local minimum of a state's
+    samples on `_COS_GRID` (an endpoint counts when it is below its one
+    neighbour) opens a bracket reaching to the neighbouring samples, so an
+    interior minimum next to an endpoint is searched too; each bracket is
+    zoomed onto its lowest sample.  The brackets of all states are zoomed
+    together, one (brackets, 17) array per round.  A state's best sample is
+    its first minimum in the order grid, then rounds, then its brackets in
+    grid order, then samples; it wins only if it beats the state's better
+    endpoint by more than roundoff.  A state's result depends on its own
+    parameters alone.
     """
-    grid_vals = _polar_entropies(state, _COS_GRID)
-    below_left = np.r_[True, grid_vals[1:] <= grid_vals[:-1]]
-    below_right = np.r_[grid_vals[:-1] <= grid_vals[1:], True]
-    idx = np.flatnonzero(below_left & below_right)
+    rows = np.arange(len(z))
+    z, zz, t = z[:, None], zz[:, None], t[:, None]
+    grid_vals = _polar_entropies(z, zz, t, _COS_GRID)
+    left = np.ones(grid_vals.shape, dtype=bool)
+    left[:, 1:] = grid_vals[:, 1:] <= grid_vals[:, :-1]
+    right = np.ones(grid_vals.shape, dtype=bool)
+    right[:, :-1] = grid_vals[:, :-1] <= grid_vals[:, 1:]
+    # row-major order: each state's brackets are contiguous and in grid order
+    owner, idx = np.nonzero(left & right)
     lo = _COS_GRID[np.maximum(idx - 1, 0)]
     hi = _COS_GRID[np.minimum(idx + 1, len(_COS_GRID) - 1)]
-    rows = np.arange(len(idx))
-    cs, vals = [_COS_GRID], [grid_vals]
+    j = np.argmin(grid_vals, axis=1)
+    best_c, best_v = _COS_GRID[j], grid_vals[rows, j]
+    brackets = np.arange(len(idx))
+    zb, zzb, tb = z[owner], zz[owner], t[owner]
+    cs, vals = [], []  # each bracket's lowest sample in each round
     for _ in range(_ZOOM_ROUNDS):
         pts = lo[:, None] + (hi - lo)[:, None] * _ZOOM
-        pv = _polar_entropies(state, pts)
+        pv = _polar_entropies(zb, zzb, tb, pts)
         j = np.argmin(pv, axis=1)
-        lo = pts[rows, np.maximum(j - 1, 0)]
-        hi = pts[rows, np.minimum(j + 1, len(_ZOOM) - 1)]
-        cs.append(pts.ravel())
-        vals.append(pv.ravel())
+        cs.append(pts[brackets, j])
+        vals.append(pv[brackets, j])
+        lo = pts[brackets, np.maximum(j - 1, 0)]
+        hi = pts[brackets, np.minimum(j + 1, len(_ZOOM) - 1)]
+    # each state's first lowest of those, in round-then-bracket order (lexsort
+    # is stable), replaces its grid minimum only if strictly lower
     cs, vals = np.concatenate(cs), np.concatenate(vals)
-    k = int(np.argmin(vals))
-    end = 0 if grid_vals[0] <= grid_vals[-1] else -1
-    if vals[k] < grid_vals[end] - _ROUNDOFF:
-        return float(cs[k]), float(vals[k])
-    return float(_COS_GRID[end]), float(grid_vals[end])
+    owners = np.tile(owner, _ZOOM_ROUNDS)
+    order = np.lexsort((vals, owners))
+    lead = order[np.diff(owners[order], prepend=-1) != 0]
+    lead = lead[vals[lead] < best_v[owners[lead]]]
+    best_c[owners[lead]] = cs[lead]
+    best_v[owners[lead]] = vals[lead]
+    end = np.where(grid_vals[:, 0] <= grid_vals[:, -1], 0, -1)
+    end_v = grid_vals[rows, end]
+    interior = best_v < end_v - _ROUNDOFF
+    return np.where(interior, best_c, _COS_GRID[end]), np.where(interior, best_v, end_v)
 
 
 def _best_phi(state: XStateDensityMatrix) -> float:
@@ -357,32 +382,57 @@ def _best_phi(state: XStateDensityMatrix) -> float:
     return (cmath.phase(state.b2) - cmath.phase(state.b1)) / 2.0 % math.pi
 
 
-def classical_correlation(rho: XStateDensityMatrix) -> tuple[float, MeasurementBasis]:
-    """Maximal information about A extractable by a projective measurement on B.
+def classical_correlations(
+    states: list[XStateDensityMatrix],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Classical correlation of every X state in `states`, in one array pass.
 
     For an X state the best azimuth phi has a closed form (`_best_phi`), and
     what is left depends on c = cos(theta) alone; theta and pi - theta are the
-    same measurement, so c runs over [0, 1] (`_best_cos_theta`).  Returns the
-    value in bits and the maximizing basis.  Dense matrices are rejected.
+    same measurement, so c runs over [0, 1] (`_best_cos_theta`, which searches
+    all states at once).  Returns arrays (value in bits, theta, phi) with one
+    entry per state; each entry is what the state gives in a batch of its
+    own.  Dense matrices are rejected.
     """
-    if not isinstance(rho, XStateDensityMatrix):
-        raise ValueError(
-            f"classical_correlation needs an XStateDensityMatrix, got {type(rho).__name__}"
-        )
-    s_a = subsystem_entropy(rho.a_plus - rho.a_minus)
-    c_best, s_min = _best_cos_theta(rho)
-    basis = MeasurementBasis(math.acos(c_best), _best_phi(rho))
-    return max(s_a - s_min, 0.0), basis
+    for rho in states:
+        if not isinstance(rho, XStateDensityMatrix):
+            raise ValueError(
+                f"classical_correlation needs an XStateDensityMatrix, got {type(rho).__name__}"
+            )
+    z = np.array([s.a_plus - s.a_minus for s in states], dtype=float)
+    zz = np.array([s.a_plus + s.a_minus - 2.0 * s.a_zero for s in states], dtype=float)
+    t = np.array([2.0 * (abs(s.b1) + abs(s.b2)) for s in states], dtype=float)
+    c_best, s_min = _best_cos_theta(z, zz, t)
+    value = subsystem_entropy(z) - s_min
+    # theta and phi from libm per state: numpy's SIMD arccos and angle round
+    # differently in the last bit
+    theta = np.array([math.acos(c) for c in c_best], dtype=float)
+    phi = np.array([_best_phi(s) for s in states], dtype=float)
+    return np.where(value < 0.0, 0.0, value), theta, phi
+
+
+def classical_correlation(rho: XStateDensityMatrix) -> tuple[float, MeasurementBasis]:
+    """Maximal information about A extractable by a projective measurement on B.
+
+    A batch of one of `classical_correlations`: the value in bits and the
+    maximizing basis.
+    """
+    value, theta, phi = classical_correlations([rho])
+    return float(value[0]), MeasurementBasis(float(theta[0]), float(phi[0]))
+
+
+def discords(states: list[XStateDensityMatrix]) -> np.ndarray:
+    """Quantum discord Q = I - C in bits of every X state (measurement on qubit B)."""
+    i_val = np.array([mutual_information(s) for s in states], dtype=float)
+    q = i_val - classical_correlations(states)[0]
+    if np.any(q < -1e-9):
+        raise RuntimeError(f"optimizer produced C > I by {-q.min()}; this is a bug")
+    return np.where(q < 0.0, 0.0, q)
 
 
 def discord(rho) -> float:
-    """Quantum discord Q = I - C in bits (measurement on qubit B)."""
-    i_val = mutual_information(rho)
-    c_val, _ = classical_correlation(rho)
-    q = i_val - c_val
-    if q < -1e-9:
-        raise RuntimeError(f"optimizer produced C > I by {-q}; this is a bug")
-    return max(q, 0.0)
+    """Quantum discord Q = I - C in bits (measurement on qubit B): a batch of one."""
+    return float(discords([rho])[0])
 
 
 def concurrence_xstate(state: XStateDensityMatrix) -> float:

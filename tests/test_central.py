@@ -432,6 +432,15 @@ class TestTraceRun:
         assert np.all(tr.concurrence == 0.0)
         assert np.all(tr.discord > 1e-4)
 
+    def test_discord_column_is_discord_at_each_time(self):
+        # the trace measures all its states in one batch; each row must equal
+        # the discord of that time's state measured on its own, bit for bit
+        cfg = small_config(n_spins=20, delta=0.02, a=0.8, t_grid=tuple(np.linspace(-5.0, 30.0, 8)))
+        tr = trace_run(cfg)
+        alone = np.array([discord(qubit_state(cfg.a, d)) for d in tr.decoherence])
+        assert tr.discord.tobytes() == alone.tobytes()
+        assert len(set(tr.decoherence)) == len(tr.decoherence)
+
     def test_rows_in_time_order_with_h_column(self):
         cfg = small_config(delta=0.005, t_grid=(-5.0, 0.0, 5.0))
         tr = trace_run(cfg)

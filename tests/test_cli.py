@@ -34,6 +34,24 @@ class TestMeasures:
         cell = out.strip().split("\n")[1].split(",")[2]
         assert "e" in cell and len(cell.split("e")[0].replace(".", "").lstrip("-")) == 12
 
+    def test_each_moment_computed_once(self, capsys, monkeypatch):
+        # the printed beta0 .. beta6 also feed the measures
+        import spinquench.kernels as kernels
+
+        calls = []
+        real = kernels.beta_n
+
+        def counted(protocol, n):
+            calls.append(n)
+            return real(protocol, n)
+
+        monkeypatch.setattr(kernels, "beta_n", counted)
+        code, _, _ = run_cli(
+            capsys, "measures", "--protocol", "multicritical", "--tau", "30", "--n", "4"
+        )
+        assert code == 0
+        assert sorted(calls) == [0, 2, 4, 6]
+
     def test_sudden_limit_zero_discord(self, capsys):
         code, out, _ = run_cli(
             capsys, "measures", "--protocol", "ising", "--gamma", "1", "--tau", "1e-12", "--n", "2"
@@ -261,16 +279,16 @@ class TestExitCodes:
     def test_numerical_failure_leaves_nan_row_and_exit_3(self, capsys, monkeypatch):
         import spinquench.scaling as scaling
 
-        real = scaling.measures
+        real = scaling.final_state
 
         def flaky(protocol, n):
             if protocol.tau == 2.0:
                 raise RuntimeError("synthetic blowup")
             return real(protocol, n)
 
-        monkeypatch.setattr(scaling, "measures", flaky)
-        # rows are computed in this process whatever --workers says, so the
-        # monkeypatch reaches the row computation
+        # final_state is the per-row step of a sweep; rows are computed in
+        # this process whatever --workers says, so the monkeypatch reaches it
+        monkeypatch.setattr(scaling, "final_state", flaky)
         code, out, err = run_cli(
             capsys,
             "sweep", "--protocol", "ising", "--gamma", "1", "--n", "2",

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spinquench.kernels as kernels
 import spinquench.scaling as scaling
 from spinquench.kernels import QuenchProtocol
 from spinquench.scaling import (
@@ -88,7 +89,7 @@ class TestSweepTau:
 
     def test_failed_rows_marked_and_sweep_continues(self, monkeypatch):
         calls = {"count": 0}
-        real = scaling.measures
+        real = scaling.final_state
 
         def flaky(protocol, n):
             calls["count"] += 1
@@ -96,13 +97,59 @@ class TestSweepTau:
                 raise RuntimeError("synthetic row failure")
             return real(protocol, n)
 
-        monkeypatch.setattr(scaling, "measures", flaky)
+        # final_state is the per-row step of a sweep
+        monkeypatch.setattr(scaling, "final_state", flaky)
         t = sweep_tau(QuenchProtocol.ising(1.0, 1.0), 2, [0.5, 1.0, 2.0])
         assert len(t.errors) == 1
         assert t.errors[0][0] == 1
         assert "synthetic" in t.errors[0][1]
         assert np.isnan(t.column("Q")[1])
         assert np.isfinite(t.column("Q")[[0, 2]]).all()
+
+    def test_failed_report_marked_and_sweep_continues(self, monkeypatch):
+        # a failure after the batched search stays in its own row too
+        calls = {"count": 0}
+        real = scaling.correlation_report
+
+        def flaky(*args):
+            calls["count"] += 1
+            if calls["count"] == 2:
+                raise ValueError("synthetic report failure")
+            return real(*args)
+
+        monkeypatch.setattr(scaling, "correlation_report", flaky)
+        t = sweep_tau(QuenchProtocol.ising(1.0, 1.0), 2, [0.5, 1.0, 2.0])
+        assert t.errors == ((1, "synthetic report failure"),)
+        assert t.data[1, 0] == 1.0 and np.isnan(t.data[1, 1:]).all()
+        assert np.isfinite(t.data[[0, 2]]).all()
+
+    def test_unresolvable_row_listed_alone(self):
+        # beta_n at multicritical tau = 1e14 needs more midpoint nodes than
+        # the cap (QuadratureError); only that row fails, and the rest equal
+        # the sweep without it bit for bit
+        proto = QuenchProtocol.multicritical(1.0)
+        grid = [1e2, 1e3, 1e4, 1e14]
+        t = sweep_tau(proto, 2, grid)
+        assert [i for i, _ in t.errors] == [3]
+        assert "midpoint nodes" in t.errors[0][1]
+        assert t.data[3, 0] == 1e14 and np.isnan(t.data[3, 1:]).all()
+        assert t.data[:3].tobytes() == sweep_tau(proto, 2, grid[:3]).data.tobytes()
+
+    def test_each_moment_computed_once_per_row(self, monkeypatch):
+        # beta0 comes from the row's own moments, not from a second beta_n call
+        calls = []
+        real = kernels.beta_n
+
+        def counted(protocol, n):
+            calls.append(n)
+            return real(protocol, n)
+
+        monkeypatch.setattr(kernels, "beta_n", counted)
+        t = sweep_tau(QuenchProtocol.ising(1.0, 1.0), 4, [0.5, 1.0, 2.0])
+        assert sorted(calls) == [0, 0, 0, 2, 2, 2, 4, 4, 4]
+        assert t.column("beta0").tolist() == [
+            real(QuenchProtocol.ising(1.0, tau), 0) for tau in (0.5, 1.0, 2.0)
+        ]
 
     def test_chunked_and_rerun_sweeps_are_bitwise_identical(self):
         # a row depends only on its own grid point: the sweep over the whole

@@ -15,6 +15,7 @@ from conftest import (
     random_product_state,
     random_x_state,
 )
+from spinquench import xstate
 from spinquench.kernels import QuenchProtocol
 from spinquench.quench import correlators
 from spinquench.xstate import (
@@ -24,11 +25,13 @@ from spinquench.xstate import (
     XStateDensityMatrix,
     build_xstate,
     classical_correlation,
+    classical_correlations,
     concurrence_wootters,
     concurrence_xstate,
     conditional_entropy,
     conditional_state,
     discord,
+    discords,
     mutual_information,
     subsystem_entropy,
     von_neumann_entropy,
@@ -37,6 +40,15 @@ from spinquench.xstate import (
 
 MAXMIX = CorrelatorSet(0.0, 0.0, 0.0, 0.0)
 BELL_PHI = CorrelatorSet(c1=1.0, c2=-1.0, c3=1.0, c4=0.0)  # (|uu> + |dd>)/sqrt 2
+# draw 8822 of random_x_state(default_rng(7)): the optimum lies inside (0, 1)
+# in cos(theta), next to the polar axis
+INTERIOR_OPTIMUM = XStateDensityMatrix(
+    a_plus=0.6296309423983517,
+    a_minus=0.16474426073926177,
+    a_zero=0.10281239843119325,
+    b1=0.062156823057212436 + 0.1835055160146407j,
+    b2=-0.021990267891769104 - 0.0035230190118743913j,
+)
 
 
 def _bell_matrix() -> np.ndarray:
@@ -252,18 +264,125 @@ class TestClassicalCorrelation:
         # (theta, phi) scan refined by Nelder-Mead puts the optimum at
         # cos theta = 0.99133, phi = 1.02812 with C = 0.152186158675666,
         # 6.4e-8 above the polar-axis value 0.152186094821297
-        state = XStateDensityMatrix(
-            a_plus=0.6296309423983517,
-            a_minus=0.16474426073926177,
-            a_zero=0.10281239843119325,
-            b1=0.062156823057212436 + 0.1835055160146407j,
-            b2=-0.021990267891769104 - 0.0035230190118743913j,
-        )
+        state = INTERIOR_OPTIMUM
         c_val, basis = classical_correlation(state)
         assert c_val >= 0.152186158675 - 1e-12
         assert math.cos(basis.theta) == pytest.approx(0.99133, abs=1e-5)
         assert basis.phi == pytest.approx(1.02812, abs=1e-5)
         assert basis_value(state, basis) == pytest.approx(c_val, abs=1e-12)
+
+
+def mixed_batch() -> list[XStateDensityMatrix]:
+    """Quench states of every protocol and separation, limits, degenerate and
+    random states, and one interior optimum, in one list."""
+    states = [
+        build_xstate(correlators(proto, n))
+        for proto in (
+            QuenchProtocol.ising(1.0, 5.0),
+            QuenchProtocol.multicritical(300.0),
+            QuenchProtocol.three_spin(0.5, 50.0),
+        )
+        for n in (2, 4, 6)
+    ]
+    states += [build_xstate(correlators(QuenchProtocol.ising(1.0, t), 2)) for t in (0.0, 1e9)]
+    states += [
+        XStateDensityMatrix(a_plus=0.5, a_minus=0.2, a_zero=0.15),  # b1 = b2 = 0
+        XStateDensityMatrix(a_plus=0.3, a_minus=0.3, a_zero=0.2, b1=0.1j, b2=-0.05),  # z = 0
+        build_xstate(MAXMIX),
+        INTERIOR_OPTIMUM,
+    ]
+    rng = np.random.default_rng(13)
+    states += [random_x_state(rng) for _ in range(50)]
+    return states
+
+
+def loop_best_cos_theta(state) -> tuple[float, float]:
+    """The cos(theta) search written for one state: grid samples, every local
+    minimum zoomed over the rounds, the first minimum in the order grid,
+    rounds, brackets, samples, and the endpoint rule."""
+    z = state.a_plus - state.a_minus
+    zz = state.a_plus + state.a_minus - 2.0 * state.a_zero
+    t = 2.0 * (abs(state.b1) + abs(state.b2))
+    grid = xstate._COS_GRID
+    grid_vals = xstate._polar_entropies(z, zz, t, grid)
+    cs, vals = [grid], [grid_vals]
+    for k in range(len(grid)):
+        if (k > 0 and grid_vals[k] > grid_vals[k - 1]) or (
+            k < len(grid) - 1 and grid_vals[k] > grid_vals[k + 1]
+        ):
+            continue
+        lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)]
+        for r in range(xstate._ZOOM_ROUNDS):
+            pts = lo + (hi - lo) * xstate._ZOOM
+            pv = xstate._polar_entropies(z, zz, t, pts)
+            j = int(np.argmin(pv))
+            lo, hi = pts[max(j - 1, 0)], pts[min(j + 1, len(pts) - 1)]
+            cs.append((r, k, pts))
+            vals.append((r, k, pv))
+    # order the zoom samples by round, then bracket
+    zoom = sorted(range(1, len(cs)), key=lambda i: cs[i][:2])
+    all_c = np.concatenate([grid] + [cs[i][2] for i in zoom])
+    all_v = np.concatenate([grid_vals] + [vals[i][2] for i in zoom])
+    best = int(np.argmin(all_v))
+    end = 0 if grid_vals[0] <= grid_vals[-1] else -1
+    if all_v[best] < grid_vals[end] - xstate._ROUNDOFF:
+        return float(all_c[best]), float(all_v[best])
+    return float(grid[end]), float(grid_vals[end])
+
+
+def batch_of_one(state):
+    value, theta, phi = classical_correlations([state])
+    return value[0], theta[0], phi[0]
+
+
+def same_bits(a, b) -> bool:
+    return np.array(a, dtype=float).tobytes() == np.array(b, dtype=float).tobytes()
+
+
+class TestBatchInvariance:
+    """A state's result depends on that state alone, bit for bit."""
+
+    def test_batch_equals_batches_of_one(self):
+        states = mixed_batch()
+        value, theta, phi = classical_correlations(states)
+        for k, state in enumerate(states):
+            assert same_bits((value[k], theta[k], phi[k]), batch_of_one(state)), k
+            c_val, basis = classical_correlation(state)
+            assert same_bits((c_val, basis.theta, basis.phi), batch_of_one(state)), k
+
+    def test_batch_exercises_an_interior_bracket(self):
+        states = mixed_batch()
+        _, theta, _ = classical_correlations(states)
+        c = np.cos(theta[states.index(INTERIOR_OPTIMUM)])
+        assert 0.99 < c < 0.999
+
+    def test_nan_row_and_order_move_no_other_row(self):
+        states = mixed_batch()
+        nan_state = XStateDensityMatrix(a_plus=math.nan, a_minus=0.25, a_zero=0.25)
+        value, theta, phi = classical_correlations(states)
+        with_nan = classical_correlations(states[:7] + [nan_state] + states[7:])
+        keep = np.r_[0:7, 8:len(states) + 1]
+        assert same_bits(np.column_stack(with_nan)[keep], np.column_stack((value, theta, phi)))
+        assert same_bits(np.column_stack(with_nan)[7], batch_of_one(nan_state))
+        backwards = classical_correlations(states[::-1])
+        assert same_bits(np.column_stack(backwards)[::-1], np.column_stack((value, theta, phi)))
+
+    def test_batch_matches_the_search_written_per_state(self):
+        rng = np.random.default_rng(17)
+        states = mixed_batch() + [random_x_state(rng) for _ in range(300)]
+        value, theta, _ = classical_correlations(states)
+        for k, state in enumerate(states):
+            c_best, s_min = loop_best_cos_theta(state)
+            c_val = max(subsystem_entropy(state.a_plus - state.a_minus) - s_min, 0.0)
+            assert same_bits((value[k], theta[k]), (c_val, math.acos(c_best))), k
+
+    def test_discords_equal_discord_of_each_state(self):
+        states = mixed_batch()
+        assert same_bits(discords(states), [discord(s) for s in states])
+
+    def test_empty_batch(self):
+        value, theta, phi = classical_correlations([])
+        assert value.shape == theta.shape == phi.shape == (0,)
 
 
 class TestOracleAgreement:
