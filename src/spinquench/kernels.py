@@ -7,7 +7,9 @@ cosine moment of that probability over the Brillouin zone,
 
     beta_n = (1/pi) * integral_0^pi p_k cos(n k) dk.
 
-beta_0 is the defect density.
+beta_0 is the defect density.  `moment_table` computes the moments of a
+batch of protocols (the rows of a sweep) together; `beta_n` and
+`compute_betas` are batches of one.
 """
 
 from __future__ import annotations
@@ -15,10 +17,9 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.special import ive
 
 
 class ProtocolKind(enum.Enum):
@@ -30,7 +31,7 @@ class ProtocolKind(enum.Enum):
 
 
 class QuadratureError(RuntimeError):
-    """The midpoint rule missed `_TOL`, or would need more than `_M_CAP` nodes.
+    """A row's moments missed `_TOL`, or would need more than `_M_CAP` nodes.
 
     Carries the best available estimate and its error bound so callers can
     decide whether to proceed anyway.
@@ -109,6 +110,15 @@ class BetaSet:
         return self.values[n]
 
 
+def _exponent(kind: ProtocolKind, gamma, j3, k):
+    # f(k) in p_k = exp(-pi tau f(k)); gamma and j3 broadcast against k
+    if kind is ProtocolKind.ISING:
+        return gamma**2 * np.sin(k) ** 2
+    if kind is ProtocolKind.MULTICRITICAL:
+        return (1.0 + np.cos(k)) ** 2 * np.sin(k) ** 2
+    return (np.sin(k) - j3 * np.sin(2.0 * k)) ** 2
+
+
 def excitation_probability(protocol: QuenchProtocol, k) -> float | np.ndarray:
     """Probability that mode k is excited after the sweep.
 
@@ -120,88 +130,196 @@ def excitation_probability(protocol: QuenchProtocol, k) -> float | np.ndarray:
     karr = np.asarray(k, dtype=float)
     if np.any(karr < -1e-12) or np.any(karr > np.pi + 1e-12):
         raise ValueError("k must lie in [0, pi]")
-    if protocol.kind is ProtocolKind.ISING:
-        expo = protocol.gamma**2 * np.sin(karr) ** 2
-    elif protocol.kind is ProtocolKind.MULTICRITICAL:
-        expo = (1.0 + np.cos(karr)) ** 2 * np.sin(karr) ** 2
-    else:
-        expo = (np.sin(karr) - protocol.j3 * np.sin(2.0 * karr)) ** 2
+    expo = _exponent(protocol.kind, protocol.gamma, protocol.j3, karr)
     out = np.exp(-np.pi * protocol.tau * expo)
     return float(out) if np.isscalar(k) else out
 
 
-# Multicritical and three-spin moments: p_k cos(n k) is smooth, even and
-# 2 pi-periodic in k, so the M-point midpoint rule on [0, pi] converges
-# exponentially and |beta(M) - beta(M/2)| estimates its error.  The narrowest
-# feature is the spike exp(-pi tau s^2 k^2) at the steepest simple zero
-# (slope s) of the exponent's prefactor.  Its spectrum falls as
-# exp(-w^2 / (4 pi tau s^2)) and the M/2 grid aliases frequency M, so with
-# M >= 24 s sqrt(tau) + n both grids alias below e^-45.  M is chosen from tau,
-# not doubled from a small grid: a grid much coarser than the spike misses it
-# at M and M/2 alike, and the two values then agree falsely.
+# p_k cos(n k) is smooth, even and 2 pi-periodic in k for every protocol, so
+# the M-point midpoint rule on [0, pi] converges exponentially and
+# |beta(M) - beta(M/2)| estimates its error.  The narrowest feature is the
+# spike exp(-pi tau s^2 k^2) at the steepest simple zero (slope s) of the
+# exponent's prefactor.  Its spectrum falls as exp(-w^2 / (4 pi tau s^2))
+# and the M/2 grid aliases frequency M, so with M >= 24 s sqrt(tau) + n both
+# grids alias below e^-45.  M is chosen from tau, not doubled from a small
+# grid: a grid much coarser than the spike misses it at M and M/2 alike, and
+# the two values then agree falsely.  A row takes all its moments from one
+# grid pair, sized for its largest n.
 _M_FLOOR = 512  # small tau, where p_k is not a single spike
 _M_CAP = 2**22  # serves every j3 <= 1.5 up to tau = 1.9e9, multicritical to 7.6e9
 _TOL = 1e-12
 
+# Ising rows far on the adiabatic side take the large-argument series
+# beta_n = e^{-x} I_m(x) ~ (2 pi x)^{-1/2} sum_k t_k, x = pi tau gamma^2 / 2,
+# m = n/2, t_0 = 1, t_k = t_{k-1} (-(4 m^2 - (2k - 1)^2) / (8 k x))
+# (DLMF 10.40.1), summed over k < _SERIES_TERMS.  Its error bound is the first
+# omitted term |t_K| (DLMF 10.40(ii)) plus 2 K eps sum |t_k| for rounding: K
+# terms of at most K factors each.  _X_SERIES is the smallest integer x at
+# which |t_K| <= eps |sum t_k| for every n <= 58, so that from there on the
+# truncation is below rounding; a row whose bound still misses _TOL (much
+# larger n) takes the midpoint rule.  Below the crossover the midpoint rule
+# needs 512 nodes for n <= 58.
+_SERIES_TERMS = 16
+_X_SERIES = 552.0
 
-def _midpoint(protocol: QuenchProtocol, n: int, m: int) -> float:
+
+def _slope(protocol: QuenchProtocol) -> float:
+    # steepest zero: gamma sin k at k = 0, (1 + cos k) sin k at k = 0,
+    # sin k - J3 sin 2k at k = pi
+    if protocol.kind is ProtocolKind.ISING:
+        return protocol.gamma
+    if protocol.kind is ProtocolKind.MULTICRITICAL:
+        return 2.0
+    return 1.0 + 2.0 * protocol.j3
+
+
+def _nodes(protocol: QuenchProtocol, n_max: int) -> int:
+    need = 24.0 * _slope(protocol) * math.sqrt(protocol.tau) + n_max
+    return max(_M_FLOOR, 2 ** math.ceil(math.log2(need)))
+
+
+def _grid_moments(
+    kind: ProtocolKind, protocols: Sequence[QuenchProtocol], m: int, ns: Sequence[int]
+) -> np.ndarray:
+    """Midpoint rule on m nodes: moments (rows, len(ns)) of protocols of one kind.
+
+    One (rows, m) array of p_k serves every n.
+    """
     k = (np.arange(m) + 0.5) * (np.pi / m)
-    return float(np.mean(excitation_probability(protocol, k) * np.cos(n * k)))
+    tau = np.array([p.tau for p in protocols])[:, None]
+    gamma = np.array([p.gamma for p in protocols], dtype=float)[:, None]
+    j3 = np.array([p.j3 for p in protocols], dtype=float)[:, None]
+    p = np.exp(-np.pi * tau * _exponent(kind, gamma, j3, k))
+    out = np.empty((len(protocols), len(ns)))
+    for j, n in enumerate(ns):
+        out[:, j] = np.mean(p * np.cos(n * k), axis=1)
+    return out
 
 
-def _midpoint_beta(protocol: QuenchProtocol, n: int) -> float:
-    # steepest zero: (1 + cos k) sin k at k = 0, sin k - J3 sin 2k at k = pi
-    slope = 2.0 if protocol.kind is ProtocolKind.MULTICRITICAL else 1.0 + 2.0 * protocol.j3
-    m = max(_M_FLOOR, 2 ** math.ceil(math.log2(24.0 * slope * math.sqrt(protocol.tau) + n)))
-    fine = _midpoint(protocol, n, min(m, _M_CAP))
-    error = abs(fine - _midpoint(protocol, n, min(m, _M_CAP) // 2))
-    if m > _M_CAP:
+def _series_moments(x: np.ndarray, ns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """DLMF 10.40.1 for e^{-x} I_{n/2}(x): (values, error bounds), rows x, columns ns."""
+    k = np.arange(1, _SERIES_TERMS + 1)
+    factors = -((ns * ns)[None, :, None] - ((2 * k - 1) ** 2)[None, None, :]) / (
+        (8 * k)[None, None, :] * x[:, None, None]
+    )
+    t = np.cumprod(factors, axis=-1)  # t_1 .. t_K
+    terms = np.concatenate([np.ones(t.shape[:-1] + (1,)), t[..., :-1]], axis=-1)
+    scale = 1.0 / np.sqrt(2.0 * np.pi * x)[:, None]
+    rounding = 2 * _SERIES_TERMS * np.finfo(float).eps * np.abs(terms).sum(axis=-1)
+    return scale * terms.sum(axis=-1), scale * (np.abs(t[..., -1]) + rounding)
+
+
+@dataclass(frozen=True)
+class MomentTable:
+    """Moments beta_n of a batch of protocols: one row per protocol, one column per n.
+
+    `errors` holds each moment's error estimate: |beta(M) - beta(M/2)| on the
+    midpoint rule (at least the spike's mass past the node cap), the series'
+    bound, 0 where exact.  `nodes` is a row's midpoint-rule M, which exceeds
+    `_M_CAP` for a row the cap could not serve; it is 0 for the sudden limit
+    and for series rows.
+    """
+
+    protocols: tuple[QuenchProtocol, ...]
+    ns: tuple[int, ...]
+    values: np.ndarray
+    errors: np.ndarray
+    nodes: tuple[int, ...]
+
+    def row(self, i: int) -> np.ndarray:
+        """Row i's moments; raises the row's own `QuadratureError` when it
+        missed `_TOL` or the node cap."""
+        err, m = self.errors[i], self.nodes[i]
+        if m > _M_CAP or np.any(err > _TOL):
+            j = int(np.argmax(err))
+            raise QuadratureError(
+                f"beta_{self.ns[j]} for {self.protocols[i]} needs {m} midpoint nodes "
+                f"(cap {_M_CAP}, tolerance {_TOL})",
+                float(self.values[i, j]),
+                float(err[j]),
+            )
+        return self.values[i]
+
+    def betas(self, i: int, n_max: int) -> BetaSet:
+        """Row i of a table of the even n up to n_max, as a `BetaSet`."""
+        return BetaSet(n_max=n_max, values=dict(zip(self.ns, self.row(i).tolist())))
+
+
+def moment_table(protocols: Sequence[QuenchProtocol], ns: Sequence[int]) -> MomentTable:
+    """Cosine moments (1/pi) * integral_0^pi p_k cos(n k) dk for every n in ns
+    of every protocol.
+
+    tau = 0 rows are exact (p_k == 1).  An Ising row with
+    x = pi tau gamma^2 / 2 >= `_X_SERIES` takes the large-argument series when
+    its bound meets `_TOL` for every n; every other row takes the midpoint
+    rule.  Midpoint rows are grouped by protocol kind and M, in chunks of at
+    most `_M_CAP` grid points, and each chunk's moments come from one
+    (rows, M) and one (rows, M/2) array of p_k.  Ising odd moments are exactly
+    0 (k -> pi - k symmetry); the other protocols' are computed.  Each row's
+    values are the ones it gets in a batch of its own; a row that failed
+    raises only from `MomentTable.row`.
+    """
+    protocols = tuple(protocols)
+    ns = tuple(ns)
+    for n in ns:
+        if n < 0 or int(n) != n:
+            raise ValueError(f"n must be a nonnegative integer, got {n}")
+    ns = tuple(int(n) for n in ns)
+    n_arr = np.array(ns, dtype=float)
+    odd = n_arr % 2 == 1
+    values = np.zeros((len(protocols), len(ns)))
+    errors = np.zeros_like(values)
+    nodes = [0] * len(protocols)
+
+    ising = [i for i, p in enumerate(protocols) if p.kind is ProtocolKind.ISING]
+    x = {i: 0.5 * math.pi * protocols[i].tau * protocols[i].gamma**2 for i in ising}
+    far = [i for i in ising if x[i] >= _X_SERIES]
+    on_series = set()
+    if far:
+        val, bound = _series_moments(np.array([x[i] for i in far]), n_arr)
+        bound[:, odd] = 0.0  # set to exactly 0 below
+        for i, v, b in zip(far, val, bound):
+            if np.all(b <= _TOL):
+                values[i], errors[i] = v, b
+                on_series.add(i)
+
+    groups: dict[tuple[ProtocolKind, int], list[int]] = {}
+    for i, p in enumerate(protocols):
+        if p.tau == 0.0:
+            values[i] = n_arr == 0  # sudden limit: p_k == 1
+        elif i not in on_series:
+            nodes[i] = _nodes(p, max(ns, default=0))
+            groups.setdefault((p.kind, min(nodes[i], _M_CAP)), []).append(i)
+    for (kind, m), rows in groups.items():
+        per_pass = max(1, _M_CAP // m)
+        for start in range(0, len(rows), per_pass):
+            chunk = rows[start : start + per_pass]
+            batch = [protocols[i] for i in chunk]
+            fine = _grid_moments(kind, batch, m, ns)
+            values[chunk] = fine
+            errors[chunk] = np.abs(fine - _grid_moments(kind, batch, m // 2, ns))
+    for i in [i for i, m in enumerate(nodes) if m > _M_CAP]:
         # the capped grid may miss the whole spike, of mass 1/(2 pi s sqrt(tau))
-        error = max(error, 1.0 / (2.0 * math.pi * slope * math.sqrt(protocol.tau)))
-    if m > _M_CAP or error > _TOL:
-        raise QuadratureError(
-            f"beta_{n} for {protocol} needs {m} midpoint nodes (cap {_M_CAP}, tolerance {_TOL})",
-            fine,
-            error,
-        )
-    return fine
-
-
-def _ising_beta(protocol: QuenchProtocol, n: int) -> float:
-    # (1/pi) int_0^pi exp(-a sin^2 k) cos(n k) dk = e^{-a/2} I_{n/2}(a/2) for
-    # even n; odd n vanish by the k -> pi - k symmetry
-    if n % 2:
-        return 0.0
-    x = 0.5 * math.pi * protocol.tau * protocol.gamma**2
-    value = float(ive(n // 2, x))
-    if math.isnan(value):  # ive gives up above x ~ 1e9: large-argument series
-        value = (1.0 - (n * n - 1.0) / (8.0 * x)) / math.sqrt(2.0 * math.pi * x)
-    return value
+        p = protocols[i]
+        errors[i] = np.maximum(errors[i], 1.0 / (2.0 * math.pi * _slope(p) * math.sqrt(p.tau)))
+    values[np.ix_(ising, odd)] = 0.0
+    errors[np.ix_(ising, odd)] = 0.0
+    return MomentTable(protocols, ns, values, errors, tuple(nodes))
 
 
 def beta_n(protocol: QuenchProtocol, n: int) -> float:
-    """Cosine moment (1/pi) * integral_0^pi p_k cos(n k) dk.
+    """Cosine moment (1/pi) * integral_0^pi p_k cos(n k) dk: a batch of one
+    of `moment_table`.
 
-    Ising moments use the Bessel closed form e^{-a/2} I_{n/2}(a/2) with
-    a = pi tau gamma^2 (exactly 0 for odd n).  The other protocols use the
-    midpoint rule on a grid chosen from tau; their odd moments are computed,
-    since p_k lacks the k -> pi - k symmetry.  Raises `QuadratureError` when
-    the midpoint rule cannot reach `_TOL` within `_M_CAP` nodes.
+    Raises `QuadratureError` when the moment cannot reach `_TOL` within
+    `_M_CAP` midpoint nodes.
     """
-    if n < 0 or int(n) != n:
-        raise ValueError(f"n must be a nonnegative integer, got {n}")
-    if protocol.tau == 0.0:
-        # Sudden limit: p_k == 1, and the cosine integrates to zero unless n == 0.
-        return 1.0 if n == 0 else 0.0
-    if protocol.kind is ProtocolKind.ISING:
-        return _ising_beta(protocol, n)
-    return _midpoint_beta(protocol, n)
+    return float(moment_table([protocol], [n]).row(0)[0])
 
 
 def compute_betas(protocol: QuenchProtocol, n_max: int) -> BetaSet:
-    """Evaluate all even moments up to n_max with `beta_n`."""
-    values = {n: beta_n(protocol, n) for n in range(0, n_max + 1, 2)}
-    return BetaSet(n_max=n_max, values=values)
+    """All even moments up to n_max from one `moment_table` row."""
+    return moment_table([protocol], range(0, n_max + 1, 2)).betas(0, n_max)
 
 
 def defect_density(protocol: QuenchProtocol) -> float:

@@ -2,7 +2,7 @@
 
 The correlators at separation n are polynomials in the moments beta_0 .. beta_n
 (closed expressions exist for n = 2, 4, 6).  `measures` runs the full pipeline
-moments -> correlators -> X state (`final_state`) -> {mutual information,
+moments -> correlators -> X state (`state_from_betas`) -> {mutual information,
 classical correlation, discord, concurrence} (`measure_state`).
 
 `closed_form_I_n2` / `closed_form_C_n2` evaluate the printed n = 2 expressions
@@ -73,36 +73,40 @@ def correlators(protocol: QuenchProtocol, n: int) -> CorrelatorSet:
     return correlators_from_betas(compute_betas(protocol, n_max=n), n)
 
 
-def final_state(protocol: QuenchProtocol, n: int) -> tuple[XStateDensityMatrix, BetaSet]:
-    """X state of two spins n sites apart after the quench, and the moments
-    beta_0 .. beta_n it was built from."""
-    _check_separation(n)
-    betas = compute_betas(protocol, n_max=n)
-    return build_xstate(correlators_from_betas(betas, n)), betas
+def state_from_betas(betas: BetaSet, n: int) -> XStateDensityMatrix:
+    """X state of two spins n sites apart, built from the moments beta_0 .. beta_n."""
+    return build_xstate(correlators_from_betas(betas, n))
 
 
 def correlation_report(
-    state: XStateDensityMatrix, i_val: float, c_val: float, basis: MeasurementBasis
+    i_val: float, c_val: float, basis: MeasurementBasis, cnc: float
 ) -> CorrelationReport:
-    """Report of one X state from its mutual information and its maximized
-    classical correlation, clamped so that C <= I and Q >= 0."""
+    """Report of one X state from its mutual information, its maximized
+    classical correlation and its concurrence, clamped so that C <= I and
+    Q >= 0.  A NaN mutual information (a state with a negative eigenvalue,
+    see `mutual_informations`) raises `ValueError`."""
+    if math.isnan(i_val):
+        raise ValueError("mutual information undefined: the state has a negative eigenvalue")
     return CorrelationReport(
         mutual_information=i_val,
         classical_correlation=min(c_val, i_val),
         discord=max(i_val - c_val, 0.0),
-        concurrence=concurrence_xstate(state),
+        concurrence=cnc,
         argmax_basis=basis,
     )
 
 
 def measure_state(state: XStateDensityMatrix) -> CorrelationReport:
     """Full correlation report of one X state."""
-    return correlation_report(state, mutual_information(state), *classical_correlation(state))
+    return correlation_report(
+        mutual_information(state), *classical_correlation(state), concurrence_xstate(state)
+    )
 
 
 def measures(protocol: QuenchProtocol, n: int) -> CorrelationReport:
     """Full correlation report for one (protocol, separation) point."""
-    return measure_state(final_state(protocol, n)[0])
+    _check_separation(n)
+    return measure_state(state_from_betas(compute_betas(protocol, n_max=n), n))
 
 
 def _term(x: float) -> float:

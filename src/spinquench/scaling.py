@@ -2,10 +2,11 @@
 
 `sweep_tau` materializes the measures over a grid of inverse rates;
 `sweep_j3` scans the three-spin coupling at fixed rate.  `fit_loglog`
-extracts d(ln y)/d(ln x) by ordinary least squares.  The moments,
-correlators and X state of each row are computed one after another in grid
-order; the measurement search then runs once over all of the sweep's
-states.  A row that fails holds NaNs and is listed in the table's errors.
+extracts d(ln y)/d(ln x) by ordinary least squares.  The moments of all
+rows come from one kernel call (`moment_table`); each row's X state is
+built from them in grid order; the mutual information, concurrence and
+measurement search then run once over all of the sweep's states.  A row
+that fails holds NaNs and is listed in the table's errors.
 """
 
 from __future__ import annotations
@@ -16,13 +17,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .kernels import ProtocolKind, QuenchProtocol
-from .quench import correlation_report, final_state
+from .kernels import BetaSet, ProtocolKind, QuenchProtocol, moment_table
+from .quench import correlation_report, state_from_betas
 from .xstate import (
     MeasurementBasis,
-    XStateDensityMatrix,
     classical_correlations,
-    mutual_information,
+    concurrences,
+    mutual_informations,
 )
 
 # The sweeps call neither name; both stay importable here because the
@@ -82,14 +83,12 @@ class ScalingFit:
             raise ValueError(f"r_squared = {self.r_squared} outside [0, 1]")
 
 
-def _tau_row(protocol: QuenchProtocol, n: int) -> tuple[tuple, XStateDensityMatrix]:
-    state, betas = final_state(protocol, n)
-    return (protocol.tau, float(n), betas[0]), state
+def _tau_lead(protocol: QuenchProtocol, n: int, betas: BetaSet) -> tuple:
+    return (protocol.tau, float(n), betas[0])
 
 
-def _j3_row(protocol: QuenchProtocol, n: int) -> tuple[tuple, XStateDensityMatrix]:
-    state, _ = final_state(protocol, n)
-    return (protocol.j3,), state
+def _j3_lead(protocol: QuenchProtocol, n: int, betas: BetaSet) -> tuple:
+    return (protocol.j3,)
 
 
 _REPORT_FIELDS = {
@@ -100,31 +99,39 @@ _REPORT_FIELDS = {
 }
 
 
-def _run_rows(columns, row, grid, protocols, n) -> SweepTable:
-    """Build every row's X state, then measure all of them at once.
+def _run_rows(columns, lead, grid, protocols, n) -> SweepTable:
+    """Take every row's moments in one kernel call, build each row's X state,
+    then measure all of the states at once.
 
-    `row` gives a row's leading columns and its X state; it and the mutual
-    information run row by row, so a row that fails there holds NaNs and is
-    listed in the errors while the others go on.  The measurement search then
-    runs once over the states that were built (`classical_correlations`),
-    and each row's report is checked on its own.
+    Each row's moments are checked and its state built row by row
+    (`state_from_betas`), so a row whose moments missed the kernel's
+    tolerance, or whose state fails, holds NaNs and is listed in the errors
+    while the others go on.  `lead` gives a row's leading columns.  The
+    mutual information, concurrence and measurement search then run once over
+    the states that were built, and each row's report is checked on its own.
     """
     data = np.full((len(grid), len(columns)), np.nan)
     data[:, 0] = grid
     errors = []
-    built = []  # (row index, leading columns, state, mutual information)
+    moments = moment_table(protocols, range(0, n + 1, 2))
+    built = []  # (row index, leading columns, state)
     for i, protocol in enumerate(protocols):
         try:
-            lead, state = row(protocol, n)
-            built.append((i, lead, state, mutual_information(state)))
+            betas = moments.betas(i, n)
+            built.append((i, lead(protocol, n, betas), state_from_betas(betas, n)))
         except Exception as exc:  # noqa: BLE001 - row failures are data
             errors.append((i, str(exc)))
-    c_vals, thetas, phis = classical_correlations([b[2] for b in built])
-    for (i, lead, state, i_val), c_val, theta, phi in zip(built, c_vals, thetas, phis):
+    states = [b[2] for b in built]
+    i_vals, cncs = mutual_informations(states), concurrences(states)
+    c_vals, thetas, phis = classical_correlations(states)
+    for (i, lead_vals, _), i_val, cnc, c_val, theta, phi in zip(
+        built, i_vals, cncs, c_vals, thetas, phis
+    ):
         try:
-            rep = correlation_report(state, i_val, float(c_val), MeasurementBasis(theta, phi))
-            fields = (getattr(rep, _REPORT_FIELDS[c]) for c in columns[len(lead):])
-            data[i] = (*lead, *fields)
+            basis = MeasurementBasis(theta, phi)
+            rep = correlation_report(float(i_val), float(c_val), basis, float(cnc))
+            fields = (getattr(rep, _REPORT_FIELDS[c]) for c in columns[len(lead_vals):])
+            data[i] = (*lead_vals, *fields)
         except Exception as exc:  # noqa: BLE001 - row failures are data
             errors.append((i, str(exc)))
     return SweepTable(columns=columns, data=data, errors=tuple(sorted(errors)))
@@ -136,7 +143,7 @@ def sweep_tau(protocol: QuenchProtocol, n: int, tau_grid: Sequence[float]) -> Sw
     if any(t <= 0.0 for t in grid) or any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("tau_grid must be positive and strictly increasing")
     protocols = [dataclasses.replace(protocol, tau=t) for t in grid]
-    return _run_rows(TAU_COLUMNS, _tau_row, grid, protocols, n)
+    return _run_rows(TAU_COLUMNS, _tau_lead, grid, protocols, n)
 
 
 def sweep_j3(tau: float, n: int, j3_grid: Sequence[float]) -> SweepTable:
@@ -145,7 +152,7 @@ def sweep_j3(tau: float, n: int, j3_grid: Sequence[float]) -> SweepTable:
     if any(j < 0.0 for j in grid) or any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("j3_grid must be nonnegative and strictly increasing")
     protocols = [QuenchProtocol(ProtocolKind.THREE_SPIN, tau, j3=j) for j in grid]
-    return _run_rows(J3_COLUMNS, _j3_row, grid, protocols, n)
+    return _run_rows(J3_COLUMNS, _j3_lead, grid, protocols, n)
 
 
 def fit_loglog(table: SweepTable, column: str, window: tuple[float, float]) -> ScalingFit:

@@ -217,6 +217,11 @@ def xstate_eigenvalues(state) -> np.ndarray:
     return state.eigenvalues()
 
 
+def _polarization_entropy(c4: np.ndarray) -> np.ndarray:
+    c4 = np.clip(c4, -1.0, 1.0)
+    return -(_xlog2((1.0 + c4) / 2.0) + _xlog2((1.0 - c4) / 2.0))
+
+
 def subsystem_entropy(c4):
     """Entropy in bits of a single qubit with polarization <sz> = c4.
 
@@ -225,26 +230,51 @@ def subsystem_entropy(c4):
     c4 = np.asarray(c4, dtype=float)
     if np.any(np.abs(c4) > 1.0 + 1e-12):
         raise ValueError(f"|c4| = {np.abs(c4).max()} exceeds 1")
-    c4 = np.clip(c4, -1.0, 1.0)
-    s = -(_xlog2((1.0 + c4) / 2.0) + _xlog2((1.0 - c4) / 2.0))
+    s = _polarization_entropy(c4)
     return float(s) if s.ndim == 0 else s
+
+
+def _require_xstates(states, what: str):
+    for rho in states:
+        if not isinstance(rho, XStateDensityMatrix):
+            raise ValueError(f"{what} needs an XStateDensityMatrix, got {type(rho).__name__}")
+
+
+def mutual_informations(states: list[XStateDensityMatrix]) -> np.ndarray:
+    """I = s(rho_A) + s(rho_B) - s(rho) in bits of every X state, in one array pass.
+
+    Both qubits of an X state have polarization <sz> = a_plus - a_minus.  A
+    state with an eigenvalue below -`_EIG_CLAMP` (or a polarization beyond
+    1) gets NaN, and only that state; every other entry is what the state
+    gives on its own.
+    """
+    _require_xstates(states, "mutual_informations")
+    eigs = np.array([s.eigenvalues() for s in states], dtype=float).reshape(-1, 4)
+    z = np.array([s.a_plus - s.a_minus for s in states], dtype=float)
+    joint = -np.sum(_xlog2(eigs), axis=1)
+    val = 2.0 * _polarization_entropy(z) - joint
+    bad = np.any(eigs < -_EIG_CLAMP, axis=1) | (np.abs(z) > 1.0 + 1e-12)
+    return np.where(bad, np.nan, np.where(0.0 > val, 0.0, val))
 
 
 def mutual_information(rho) -> float:
     """I = s(rho_A) + s(rho_B) - s(rho), in bits.
 
-    Both qubits of an X state have polarization <sz> = a_plus - a_minus.
+    An X state is a batch of one of `mutual_informations`; a 4x4 matrix
+    takes the dense route.
     """
     if isinstance(rho, XStateDensityMatrix):
-        val = 2.0 * subsystem_entropy(rho.a_plus - rho.a_minus) - _entropy_bits(rho.eigenvalues())
-    else:
-        arr = _as_matrix(rho)
-        rho_a, rho_b = reduced_states(arr)
-        val = (
-            _entropy_bits(np.linalg.eigvalsh(rho_a))
-            + _entropy_bits(np.linalg.eigvalsh(rho_b))
-            - _entropy_bits(np.linalg.eigvalsh(arr))
-        )
+        val = float(mutual_informations([rho])[0])
+        if math.isnan(val):
+            raise ValueError(f"eigenvalue below -{_EIG_CLAMP}: {rho.eigenvalues().min()}")
+        return val
+    arr = _as_matrix(rho)
+    rho_a, rho_b = reduced_states(arr)
+    val = (
+        _entropy_bits(np.linalg.eigvalsh(rho_a))
+        + _entropy_bits(np.linalg.eigvalsh(rho_b))
+        - _entropy_bits(np.linalg.eigvalsh(arr))
+    )
     return max(val, 0.0)
 
 
@@ -394,11 +424,7 @@ def classical_correlations(
     entry per state; each entry is what the state gives in a batch of its
     own.  Dense matrices are rejected.
     """
-    for rho in states:
-        if not isinstance(rho, XStateDensityMatrix):
-            raise ValueError(
-                f"classical_correlation needs an XStateDensityMatrix, got {type(rho).__name__}"
-            )
+    _require_xstates(states, "classical_correlation")
     z = np.array([s.a_plus - s.a_minus for s in states], dtype=float)
     zz = np.array([s.a_plus + s.a_minus - 2.0 * s.a_zero for s in states], dtype=float)
     t = np.array([2.0 * (abs(s.b1) + abs(s.b2)) for s in states], dtype=float)
@@ -423,7 +449,10 @@ def classical_correlation(rho: XStateDensityMatrix) -> tuple[float, MeasurementB
 
 def discords(states: list[XStateDensityMatrix]) -> np.ndarray:
     """Quantum discord Q = I - C in bits of every X state (measurement on qubit B)."""
-    i_val = np.array([mutual_information(s) for s in states], dtype=float)
+    i_val = mutual_informations(states)
+    if np.any(np.isnan(i_val)):
+        k = int(np.argmax(np.isnan(i_val)))
+        raise ValueError(f"state {k}: eigenvalue below -{_EIG_CLAMP}: {states[k].eigenvalues().min()}")
     q = i_val - classical_correlations(states)[0]
     if np.any(q < -1e-9):
         raise RuntimeError(f"optimizer produced C > I by {-q.min()}; this is a bug")
@@ -435,12 +464,30 @@ def discord(rho) -> float:
     return float(discords([rho])[0])
 
 
+def concurrences(states: list[XStateDensityMatrix]) -> np.ndarray:
+    """Concurrence of every X state from the closed form
+    max{0, 2(|b2| - sqrt(a_plus a_minus)), 2(|b1| - a_zero)}, in one array pass.
+
+    The maxima keep Python's `max` order and tie rule, so each entry is the
+    one `concurrence_xstate` gives the state on its own.
+    """
+    _require_xstates(states, "concurrences")
+    a_plus = np.array([s.a_plus for s in states], dtype=float)
+    a_minus = np.array([s.a_minus for s in states], dtype=float)
+    a_zero = np.array([s.a_zero for s in states], dtype=float)
+    # |b| per state from Python's complex abs: numpy's rounds differently
+    b1 = np.array([abs(s.b1) for s in states], dtype=float)
+    b2 = np.array([abs(s.b2) for s in states], dtype=float)
+    prod = a_plus * a_minus
+    inner = 2.0 * (b2 - np.sqrt(np.where(0.0 > prod, 0.0, prod)))
+    outer = 2.0 * (b1 - a_zero)
+    best = np.where(inner > 0.0, inner, 0.0)
+    return np.where(outer > best, outer, best)
+
+
 def concurrence_xstate(state: XStateDensityMatrix) -> float:
-    """Concurrence of an X state from the closed form
-    max{0, 2(|b2| - sqrt(a_plus a_minus)), 2(|b1| - a_zero)}."""
-    branch_inner = 2.0 * (abs(state.b2) - math.sqrt(max(state.a_plus * state.a_minus, 0.0)))
-    branch_outer = 2.0 * (abs(state.b1) - state.a_zero)
-    return max(0.0, branch_inner, branch_outer)
+    """Concurrence of one X state: a batch of one of `concurrences`."""
+    return float(concurrences([state])[0])
 
 
 _SYSY = np.array(

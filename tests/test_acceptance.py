@@ -238,6 +238,8 @@ def test_criterion_5_three_spin():
 
 
 def test_criterion_6_bessel_identity():
+    # the program's Ising moments (its midpoint rule at these tau) against
+    # scipy's ive, an independent evaluation of the Bessel closed form
     c = Checks()
     worst = 0.0
     for tau in (0.1, 1.0, 10.0):

@@ -1,8 +1,13 @@
 """CLI surface: CSV formats, exit codes, determinism, config files."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import spinquench
 from spinquench import central
 from spinquench.cli import main
 
@@ -35,22 +40,23 @@ class TestMeasures:
         assert "e" in cell and len(cell.split("e")[0].replace(".", "").lstrip("-")) == 12
 
     def test_each_moment_computed_once(self, capsys, monkeypatch):
-        # the printed beta0 .. beta6 also feed the measures
+        # the printed beta0 .. beta6 also feed the measures: all four come
+        # from one grid pair (M and M/2) of the moment kernel
         import spinquench.kernels as kernels
 
         calls = []
-        real = kernels.beta_n
+        real = kernels._grid_moments
 
-        def counted(protocol, n):
-            calls.append(n)
-            return real(protocol, n)
+        def counted(kind, protocols, m, ns):
+            calls.append((m, [p.tau for p in protocols], tuple(ns)))
+            return real(kind, protocols, m, ns)
 
-        monkeypatch.setattr(kernels, "beta_n", counted)
+        monkeypatch.setattr(kernels, "_grid_moments", counted)
         code, _, _ = run_cli(
             capsys, "measures", "--protocol", "multicritical", "--tau", "30", "--n", "4"
         )
         assert code == 0
-        assert sorted(calls) == [0, 2, 4, 6]
+        assert sorted(calls) == [(256, [30.0], (0, 2, 4, 6)), (512, [30.0], (0, 2, 4, 6))]
 
     def test_sudden_limit_zero_discord(self, capsys):
         code, out, _ = run_cli(
@@ -279,16 +285,18 @@ class TestExitCodes:
     def test_numerical_failure_leaves_nan_row_and_exit_3(self, capsys, monkeypatch):
         import spinquench.scaling as scaling
 
-        real = scaling.final_state
+        calls = {"count": 0}
+        real = scaling.state_from_betas
 
-        def flaky(protocol, n):
-            if protocol.tau == 2.0:
+        def flaky(betas, n):
+            calls["count"] += 1
+            if calls["count"] == 2:  # the tau = 2 row
                 raise RuntimeError("synthetic blowup")
-            return real(protocol, n)
+            return real(betas, n)
 
-        # final_state is the per-row step of a sweep; rows are computed in
-        # this process whatever --workers says, so the monkeypatch reaches it
-        monkeypatch.setattr(scaling, "final_state", flaky)
+        # state_from_betas is the per-row step of a sweep; rows are computed
+        # in this process whatever --workers says, so the monkeypatch reaches it
+        monkeypatch.setattr(scaling, "state_from_betas", flaky)
         code, out, err = run_cli(
             capsys,
             "sweep", "--protocol", "ising", "--gamma", "1", "--n", "2",
@@ -327,3 +335,27 @@ class TestExitCodes:
             capsys, "measures", "--protocol", "ising", "--gamma", "1", "--tau", "-3"
         )
         assert code == 2
+
+
+class TestRuntimeDependencies:
+    def test_no_scipy_module_is_imported(self):
+        # a fresh interpreter: import the package and its CLI, then run Ising
+        # reports on both sides of the moment kernel's series crossover
+        script = "\n".join(
+            [
+                "import contextlib, io, sys",
+                "import spinquench, spinquench.cli",
+                "with contextlib.redirect_stdout(io.StringIO()):",
+                "    for tau in ('5', '1e4'):",
+                "        assert spinquench.cli.main(['measures', '--protocol', 'ising',",
+                "                                    '--gamma', '1', '--tau', tau]) == 0",
+                "print(sorted(m for m in sys.modules if m.startswith('scipy')))",
+            ]
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(spinquench.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        run = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "[]"

@@ -89,16 +89,16 @@ class TestSweepTau:
 
     def test_failed_rows_marked_and_sweep_continues(self, monkeypatch):
         calls = {"count": 0}
-        real = scaling.final_state
+        real = scaling.state_from_betas
 
-        def flaky(protocol, n):
+        def flaky(betas, n):
             calls["count"] += 1
             if calls["count"] == 2:
                 raise RuntimeError("synthetic row failure")
-            return real(protocol, n)
+            return real(betas, n)
 
-        # final_state is the per-row step of a sweep
-        monkeypatch.setattr(scaling, "final_state", flaky)
+        # state_from_betas is the per-row step of a sweep
+        monkeypatch.setattr(scaling, "state_from_betas", flaky)
         t = sweep_tau(QuenchProtocol.ising(1.0, 1.0), 2, [0.5, 1.0, 2.0])
         assert len(t.errors) == 1
         assert t.errors[0][0] == 1
@@ -123,6 +123,28 @@ class TestSweepTau:
         assert t.data[1, 0] == 1.0 and np.isnan(t.data[1, 1:]).all()
         assert np.isfinite(t.data[[0, 2]]).all()
 
+    def test_negative_eigenvalue_fails_only_its_own_row(self, monkeypatch):
+        # the batched mutual information gives NaN for that state alone, and
+        # its row's report refuses it
+        from test_xstate import NEGATIVE_EIGENVALUE
+
+        calls = {"count": 0}
+        real = scaling.state_from_betas
+
+        def bad_second_row(betas, n):
+            calls["count"] += 1
+            return NEGATIVE_EIGENVALUE if calls["count"] == 2 else real(betas, n)
+
+        monkeypatch.setattr(scaling, "state_from_betas", bad_second_row)
+        grid = [0.5, 1.0, 2.0]
+        t = sweep_tau(QuenchProtocol.ising(1.0, 1.0), 2, grid)
+        assert [i for i, _ in t.errors] == [1]
+        assert "negative eigenvalue" in t.errors[0][1]
+        assert np.isnan(t.data[1, 1:]).all()
+        monkeypatch.undo()
+        clean = sweep_tau(QuenchProtocol.ising(1.0, 1.0), 2, grid)
+        assert t.data[[0, 2]].tobytes() == clean.data[[0, 2]].tobytes()
+
     def test_unresolvable_row_listed_alone(self):
         # beta_n at multicritical tau = 1e14 needs more midpoint nodes than
         # the cap (QuadratureError); only that row fails, and the rest equal
@@ -136,19 +158,23 @@ class TestSweepTau:
         assert t.data[:3].tobytes() == sweep_tau(proto, 2, grid[:3]).data.tobytes()
 
     def test_each_moment_computed_once_per_row(self, monkeypatch):
-        # beta0 comes from the row's own moments, not from a second beta_n call
+        # every row's moments, beta0 included, come from exactly one grid pair
+        # (M and M/2) of the moment kernel, not from a second beta_n call
         calls = []
-        real = kernels.beta_n
+        real = kernels._grid_moments
 
-        def counted(protocol, n):
-            calls.append(n)
-            return real(protocol, n)
+        def counted(kind, protocols, m, ns):
+            calls.append((m, [p.tau for p in protocols], tuple(ns)))
+            return real(kind, protocols, m, ns)
 
-        monkeypatch.setattr(kernels, "beta_n", counted)
+        monkeypatch.setattr(kernels, "_grid_moments", counted)
         t = sweep_tau(QuenchProtocol.ising(1.0, 1.0), 4, [0.5, 1.0, 2.0])
-        assert sorted(calls) == [0, 0, 0, 2, 2, 2, 4, 4, 4]
+        assert sorted(calls) == [
+            (256, [0.5, 1.0, 2.0], (0, 2, 4)),
+            (512, [0.5, 1.0, 2.0], (0, 2, 4)),
+        ]
         assert t.column("beta0").tolist() == [
-            real(QuenchProtocol.ising(1.0, tau), 0) for tau in (0.5, 1.0, 2.0)
+            kernels.beta_n(QuenchProtocol.ising(1.0, tau), 0) for tau in (0.5, 1.0, 2.0)
         ]
 
     def test_chunked_and_rerun_sweeps_are_bitwise_identical(self):

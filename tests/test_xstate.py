@@ -28,11 +28,13 @@ from spinquench.xstate import (
     classical_correlations,
     concurrence_wootters,
     concurrence_xstate,
+    concurrences,
     conditional_entropy,
     conditional_state,
     discord,
     discords,
     mutual_information,
+    mutual_informations,
     subsystem_entropy,
     von_neumann_entropy,
     xstate_eigenvalues,
@@ -383,6 +385,64 @@ class TestBatchInvariance:
     def test_empty_batch(self):
         value, theta, phi = classical_correlations([])
         assert value.shape == theta.shape == phi.shape == (0,)
+
+
+def mutual_information_per_state(state) -> float:
+    """The X-state mutual information written for one state."""
+    joint = xstate._entropy_bits(state.eigenvalues())
+    return max(2.0 * subsystem_entropy(state.a_plus - state.a_minus) - joint, 0.0)
+
+
+def concurrence_per_state(state) -> float:
+    """The X-state concurrence closed form written for one state."""
+    inner = 2.0 * (abs(state.b2) - math.sqrt(max(state.a_plus * state.a_minus, 0.0)))
+    return max(0.0, inner, 2.0 * (abs(state.b1) - state.a_zero))
+
+
+# a0 - |b2| = -1e-10: inside the constructor's 1e-9 positivity slack, below
+# the entropy's -1e-12 eigenvalue clamp
+NEGATIVE_EIGENVALUE = XStateDensityMatrix(a_plus=0.3, a_minus=0.3, a_zero=0.2, b2=0.2 + 1e-10)
+
+
+class TestBatchedClosedForms:
+    """Mutual information and concurrence of a batch in one array pass, each
+    entry bit for bit the per-state value."""
+
+    def states(self):
+        rng = np.random.default_rng(23)
+        return mixed_batch() + [random_x_state(rng) for _ in range(2000)]
+
+    def test_mutual_informations_equal_the_per_state_formula(self):
+        states = self.states()
+        got = mutual_informations(states)
+        assert same_bits(got, [mutual_information_per_state(s) for s in states])
+        assert same_bits(got, [mutual_information(s) for s in states])
+
+    def test_concurrences_equal_the_per_state_formula(self):
+        states = self.states()
+        got = concurrences(states)
+        assert same_bits(got, [concurrence_per_state(s) for s in states])
+        assert same_bits(got, [concurrence_xstate(s) for s in states])
+
+    def test_negative_eigenvalue_fails_only_its_own_entry(self):
+        states = mixed_batch()
+        with_bad = states[:5] + [NEGATIVE_EIGENVALUE] + states[5:]
+        got = mutual_informations(with_bad)
+        assert np.isnan(got[5])
+        assert same_bits(np.delete(got, 5), mutual_informations(states))
+        with pytest.raises(ValueError, match="eigenvalue below"):
+            mutual_information(NEGATIVE_EIGENVALUE)
+        with pytest.raises(ValueError):
+            discords(with_bad)
+
+    def test_empty_batch(self):
+        assert mutual_informations([]).shape == concurrences([]).shape == (0,)
+
+    def test_dense_input_rejected(self):
+        with pytest.raises(ValueError):
+            mutual_informations([_bell_matrix()])
+        with pytest.raises(ValueError):
+            concurrences([_bell_matrix()])
 
 
 class TestOracleAgreement:
