@@ -2,7 +2,7 @@
 """Trace the decoherence factor and qubit correlations through the driven sweep.
 
 The defaults reproduce the strong-coupling collapse-and-revival regime
-(N = 500, delta = 0.01, tau = 250); it runs in 4.5-5 s on a 2-core x86-64 VM,
+(N = 500, delta = 0.01, tau = 250); it runs in 1.2-1.7 s on a 2-core x86-64 VM,
 about 0.1 s of it in the discord search (one batch of 426 states for each of
 three Werner weights).
 Use --delta 1e-4 with --t0 0 --t1 300 for the weak-coupling decay regime.

@@ -13,14 +13,27 @@ The decoherence factor D(t) is the squared overlap of the two branch wave
 functions, a product over modes accumulated in log space.  The qubits start in
 a Werner state; their reduced state depends on time only through D(t).
 
-Every (mode, branch) pair is propagated with the fourth-order Magnus step
-written out in closed form for a Hamiltonian linear in t (`_magnus`).
-The step is unitary, so the norm defect |<psi|psi> - 1| stays at roundoff; it
-is measured at every observation time and reported as max_step_drift.  The
-step length is chosen by the program: no step rotates a mode by more than
-pi/2, and the step starts at STEP and is halved, with the run redone, while a
-step-doubling estimate of the error of D exceeds TOL (`ModeEnsemble`).
-IntegrationError is raised only if no step down to STEP / 2**10 meets it.
+Each (mode, branch) pair obeys i dy/dt = (a(t) sz + b sx) y with a(t) linear
+in t.  From t_start every pair is carried in its adiabatic frame
+(`_adiabatic`): with E = sqrt(a^2 + b^2) the dynamical phase Phi = int E dt
+is known in closed form, and what is left is a slow coupling
+w = g e^{2i Phi}, g = -b a1 / (2 E^2), between the instantaneous eigenstates.
+Each step there is exp(Omega_1 + Omega_2), both Magnus terms integrated in
+closed form in Phi (Filon) over a cubic in Phi of g / E, so the step is set
+by how fast g changes, not by the phase.  The segment ends at the first
+observation time, or earlier where the largest g / E of any pair reaches
+COUPLING; from there on every pair is propagated with the fourth-order
+Magnus step written out in closed form for a Hamiltonian linear in t
+(`_magnus`).
+
+Both steps are unitary, so the norm defect |<psi|psi> - 1| stays at
+roundoff; it is measured at every observation time and reported as
+max_step_drift.  The step lengths are chosen by the program: no Magnus step
+rotates a mode by more than pi/2, the Magnus step starts at STEP and the
+adiabatic one at LOG_STEP in log time, and both are halved, with the run
+redone, while a step-doubling estimate of the error of D exceeds TOL
+(`ModeEnsemble`).  IntegrationError is raised only if no step down to
+STEP / 2**10 meets it.
 """
 
 from __future__ import annotations
@@ -40,6 +53,8 @@ from .xstate import discord  # noqa: F401
 logger = logging.getLogger(__name__)
 
 STEP = 0.05  # longest Magnus step
+LOG_STEP = 0.01  # longest adiabatic step in log(t_ref - t), at the Magnus step STEP
+COUPLING = 0.01  # the adiabatic segment ends where the largest g / E reaches this
 TOL = 1e-6  # bound on the error estimate of D at every observation time
 _MAX_HALVINGS = 10  # the step may fall to STEP / 2**_MAX_HALVINGS
 _MAX_ANGLE = math.pi / 2  # largest rotation of any mode in one step
@@ -123,10 +138,12 @@ class ModeState:
 class DecoherenceTrace:
     """Time series of the decoherence factor and the qubit correlations.
 
-    Propagator diagnostics: the number of Magnus steps, the largest
-    step-doubling error estimate of D, and max_step_drift, the largest
-    norm defect |<psi|psi> - 1| of any (mode, branch) state at any
-    observation time.  renorm_events is always 0: no state is renormalized.
+    Propagator diagnostics: the number of adiabatic steps and the time
+    `handoff` where they end (t_start when there are none), the number of
+    Magnus steps after it, the largest step-doubling error estimate of D,
+    and max_step_drift, the largest norm defect |<psi|psi> - 1| of any
+    (mode, branch) state at any observation time.  renorm_events is always
+    0: no state is renormalized.
     """
 
     t: np.ndarray
@@ -138,6 +155,8 @@ class DecoherenceTrace:
     max_step_drift: float = 0.0
     steps: int = 0
     error_estimate: float = 0.0
+    adiabatic_steps: int = 0
+    handoff: float = math.nan
 
     def __post_init__(self):
         if np.any(self.decoherence < -1e-12) or np.any(self.decoherence > 1.0 + 1e-9):
@@ -230,6 +249,153 @@ def _step_length(a0: np.ndarray, b: np.ndarray, a1: float,
     return min(step, _MAX_ANGLE / float(np.sqrt(np.max(a * a + b * b))))
 
 
+def _handoff(a0: np.ndarray, b: np.ndarray, a1: float, t_start: float, t_first: float) -> float:
+    """End of the adiabatic segment: t_first, or earlier where the largest g / E reaches COUPLING.
+
+    g / E = -b a1 / (2 E^3) of a pair grows while a(t) falls towards 0, so it
+    first reaches COUPLING where a = sqrt(E*^2 - b^2), E*^3 = -b a1 / (2 COUPLING);
+    a pair with E* <= b never reaches it.  Never earlier than t_start.
+    """
+    e = np.cbrt(-0.5 * a1 * b / COUPLING)
+    reach = e > b
+    if np.any(reach):
+        a = np.sqrt(e[reach] ** 2 - b[reach] ** 2)
+        t_first = min(t_first, float(np.min((a - a0[reach]) / a1)))
+    return max(t_first, t_start)
+
+
+def _adiabatic_nodes(a0: np.ndarray, b: np.ndarray, a1: float,
+                     t0: float, t1: float, log_step: float) -> np.ndarray:
+    """An even number of adiabatic steps from t0 to t1, equal in log(t_ref - t).
+
+    t_ref - t1 is the shortest time E^2 / |a a1| in which the coupling of
+    any pair changes by a fixed factor at t1 (about its distance to its
+    crossing), capped at t1 - t0.  Steps are no longer than log_step in
+    log(t_ref - t), so they shrink towards the hand-off as the couplings grow.
+    """
+    a = a0 + a1 * t1
+    scale = t1 - t0
+    rate = float(np.max(np.abs(a * a1) / (a * a + b * b)))
+    if rate * scale > 1.0:
+        scale = 1.0 / rate
+    t_ref = t1 + scale
+    u0, u1 = math.log(t_ref - t0), math.log(scale)
+    pairs = max(math.ceil((u0 - u1) / (2.0 * log_step) - 1e-9), 1)
+    nodes = t_ref - np.exp(np.linspace(u0, u1, 2 * pairs + 1))
+    nodes[0], nodes[-1] = t0, t1
+    return nodes
+
+
+def _frame(a0: np.ndarray, b: np.ndarray, a1: float, t: float):
+    """Phi, e^{2i Phi}, f = g / E and df/dPhi of every pair at time t (a scalar or a column).
+
+    Phi = (a E + b^2 asinh(a / b)) / (2 a1) is int E dt up to a constant per
+    pair, which changes only that pair's global phase.
+    """
+    a = a0 + a1 * t
+    e2 = a * a + b * b
+    e = np.sqrt(e2)
+    phi = (a * e + b * b * np.arcsinh(a / b)) / (2.0 * a1)
+    f = (-0.5 * a1) * b / (e2 * e)
+    return phi, np.exp(2j * phi), f, (-3.0 * a1) * a * f / (e2 * e)
+
+
+def _filon_terms(start, end):
+    """W and phi2 of one adiabatic step, Omega_1 = [[0, W], [-W*, 0]] and Omega_2 = -i phi2 sz.
+
+    Over the step Phi = Phi_0 + L s, s in [0, 1], and f = g / E is replaced
+    by the cubic P(s) with the values and s-derivatives of f at both ends.
+    Both Magnus terms are then exact, from the antiderivative
+    e^{2iLs} sum_m (-1)^m P^(m)(s) / (2iL)^(m+1) of P e^{2iLs}.  With
+    k = 1/(2L), q = -k^2, E = P + q P'' and O = P' + q P''',
+
+        W = e^{2i Phi_0} L int_0^1 P e^{2iLs} ds = e^{2i Phi_0} J / 2,
+        J = e^{2iL} (k O(1) - i E(1)) - (k O(0) - i E(0)),
+        phi2 = int int_{r<s} Im(w(s) w*(r)) dr ds
+             = (L/2) int_0^1 P E ds - Im((k O(0) + i E(0)) J) / 4.
+
+    int P^2 and int P'^2 are quadratic forms of the Hermite data, so all
+    but the two rotations is real arithmetic.
+    """
+    phi0, z0, f0, df0 = start
+    phi1, z1, f1, df1 = end
+    span = phi1 - phi0
+    d0, d1 = span * df0, span * df1  # P'(0), P'(1)
+    rise, total = f1 - f0, f1 + f0
+    slope, bend = d0 + d1, d1 - d0
+    p2 = 6.0 * rise - 3.0 * slope + bend  # P''(0)
+    p3 = 6.0 * slope - 12.0 * rise  # P'''
+    k = 0.5 / span
+    q = -k * k
+    e0, e1 = f0 + q * p2, f1 + q * (p2 + p3)
+    o0, o1 = k * (d0 + q * p3), k * (d1 + q * p3)
+    rot = z1 * np.conj(z0)  # e^{2iL}
+    jr = rot.real * o1 + rot.imag * e1 - o0
+    ji = rot.imag * o1 - rot.real * e1 + e0
+    mass = (
+        105.0 * total * total + 51.0 * rise * rise + 0.5 * slope * slope + 3.5 * bend * bend
+        - 35.0 * total * bend - 9.0 * rise * slope
+    ) / 420.0  # int_0^1 P^2 ds
+    stiff = (
+        36.0 * rise * rise - 6.0 * rise * slope + 1.5 * slope * slope + 2.5 * bend * bend
+    ) / 30.0  # int_0^1 P'^2 ds
+    curv = 0.5 * (total * bend + rise * slope) - stiff  # int_0^1 P P'' ds
+    phi2 = 0.5 * span * (mass + q * curv) - 0.25 * (o0 * ji + e0 * jr)
+    return z0 * (0.5 * jr + 0.5j * ji), phi2
+
+
+def _exponential(w: np.ndarray, phi2: np.ndarray):
+    """alpha, beta of exp(Omega_1 + Omega_2) = [[alpha, beta], [-beta*, alpha*]]."""
+    norm = np.sqrt(phi2 * phi2 + (w.real * w.real + w.imag * w.imag))
+    s = np.sin(norm) / np.maximum(norm, 1e-300)
+    return np.cos(norm) - 1j * (s * phi2), s * w
+
+
+def _rotate(c, alpha: np.ndarray, beta: np.ndarray):
+    """Amplitudes c = (c+, c-) after one step [[alpha, beta], [-beta*, alpha*]]."""
+    up, down = c
+    return alpha * up + beta * down, np.conj(alpha) * down - np.conj(beta) * up
+
+
+def _lab_frame(c, a: np.ndarray, b: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """(2, M) array of (u, v) for c+ e^{-i Phi} |+> + c- e^{i Phi} |->.
+
+    |+> = (cos x, sin x) and |-> = (-sin x, cos x) with 2x = atan2(b, a),
+    the eigenvectors of a sz + b sx at +E and -E.
+    """
+    e = np.hypot(a, b)
+    big = np.sqrt((e + np.abs(a)) / (2.0 * e))
+    small = b / (2.0 * e * big)
+    cos, sin = np.where(a >= 0.0, big, small), np.where(a >= 0.0, small, big)
+    rot = np.exp(-1j * phi)
+    up, down = c[0] * rot, c[1] * np.conj(rot)
+    return np.stack([up * cos - down * sin, up * sin + down * cos])
+
+
+def _adiabatic(a0: np.ndarray, b: np.ndarray, a1: float, nodes: np.ndarray):
+    """Ground states at nodes[0] carried to nodes[-1] in the adiabatic frame.
+
+    In the frame of the instantaneous eigenstates, with the dynamical phase
+    split off, pair j obeys dc/dt = [[0, w], [-w*, 0]] c with
+    w = g e^{2i Phi}, g = -b a1 / (2 E^2) (Berry, Proc. R. Soc. A 429, 61
+    (1990); Jahnke & Lubich, Numer. Math. 94, 289 (2003)); each step is
+    exp(Omega_1 + Omega_2) (`_filon_terms`).  The fine states step between
+    consecutive nodes, the coarse ones across each pair of steps; the terms
+    of a pair's three steps come from one (3, M) pass.  Both are returned
+    as (2, M) lab-frame (u, v) arrays.
+    """
+    fine = coarse = (np.zeros(len(a0), dtype=complex), np.ones(len(a0), dtype=complex))
+    for i in range(0, len(nodes) - 1, 2):
+        frame = _frame(a0, b, a1, nodes[i:i + 3, None])  # nodes i, i + 1, i + 2
+        alpha, beta = _exponential(
+            *_filon_terms([x[[0, 1, 0]] for x in frame], [x[[1, 2, 2]] for x in frame])
+        )
+        fine = _rotate(_rotate(fine, alpha[0], beta[0]), alpha[1], beta[1])
+        coarse = _rotate(coarse, alpha[2], beta[2])
+    a, phi = a0 + a1 * nodes[-1], frame[0][2]
+    return _lab_frame(fine, a, b, phi), _lab_frame(coarse, a, b, phi)
+
+
 def _branch_overlaps(y: np.ndarray, n_modes: int) -> np.ndarray:
     """|<psi_k^+|psi_k^->|^2 from a (2, 2 n_modes) array, + branches first."""
     n = n_modes
@@ -248,18 +414,29 @@ def _overlap_product(f: np.ndarray) -> float:
 class ModeEnsemble:
     """Both branches of every momentum mode, marched forward together.
 
-    The modes advance in equal steps no longer than the current step, and a
-    coarse ensemble follows them from the start in half as many steps of
-    twice the length.  For a fourth-order method the two decoherence
-    factors differ by about 15 times the error of the fine one, so
-    |D_fine - D_coarse| / 15 estimates the error of D.  Errors made before
-    a critical crossing show up in D only after it, so the estimate covers
-    the whole run: when it exceeds `tol` at an observation time, the step
-    is halved and both ensembles are propagated again from t_start.  The
-    step starts at `step`; IntegrationError is raised only when a step
-    below step / 2**10 would be needed.  `error_estimate` is the largest
-    estimate at any observation time.  Fixed steps (tol = inf) serve
-    convergence tests.
+    The first advance from t_start carries every pair in the adiabatic
+    frame (`_adiabatic`) up to the hand-off: the first observation time
+    (or the time asked for, if earlier) or, if earlier still, the time where
+    the largest g / E of any pair reaches COUPLING (`_handoff`).  `handoff`
+    is the time that segment ended (t_start when there was none) and
+    `adiabatic_steps` its number of steps.  After it the modes advance in
+    equal Magnus steps no longer than the current step; `steps` counts them.
+
+    A coarse ensemble follows the fine one from the start, in steps between
+    every other adiabatic node and then in half as many Magnus steps of
+    twice the length.  Both segments are fourth-order (the adiabatic one on
+    average over halvings: the error of a Filon step carries the phase at
+    its nodes), so the two decoherence factors differ by about 15 times the
+    error of the fine one, and |D_fine - D_coarse| / 15 estimates the error
+    of D.  LOG_STEP keeps the adiabatic error far below the Magnus one.
+    Errors made before a critical crossing show up in D only after it, so
+    the estimate covers the whole run: when it exceeds `tol` at an
+    observation time, the Magnus step and the adiabatic step are halved and
+    both ensembles are propagated again from t_start.  The Magnus step
+    starts at `step` and the adiabatic one at LOG_STEP * step / STEP;
+    IntegrationError is raised only when a Magnus step below step / 2**10
+    would be needed.  `error_estimate` is the largest estimate at any
+    observation time.  Fixed steps (tol = inf) serve convergence tests.
     """
 
     def __init__(self, config: CentralConfig, step: float = STEP, tol: float = TOL):
@@ -282,6 +459,9 @@ class ModeEnsemble:
         e = np.hypot(a, self._b)
         y = np.stack([self._b, -(a + e)]).astype(complex)
         self._y0 = y / np.sqrt(np.abs(y[0]) ** 2 + np.abs(y[1]) ** 2)
+        self._adiabatic_end = _handoff(
+            self._a0, self._b, self._a1, config.t_start, config.t_grid[0]
+        )
         self.error_estimate = 0.0
         self.max_step_drift = 0.0
         self._restart(step)
@@ -289,23 +469,28 @@ class ModeEnsemble:
     def _restart(self, step: float):
         self._step = step
         self._fine = self._coarse = self._y0
-        self.t = self.config.t_start
-        self.steps = 0
+        self.t = self.handoff = self.config.t_start
+        self.steps = self.adiabatic_steps = 0
 
-    def _propagate(self, y: np.ndarray, t: float, n_steps: int) -> np.ndarray:
-        return _magnus(self._a0, self._b, self._a1, y, self.t, t, n_steps)
-
-    def _pairs(self, t: float) -> int:
-        h = _step_length(self._a0, self._b, self._a1, self.t, t, self._step)
-        return max(math.ceil((t - self.t) / (2.0 * h) - 1e-9), 0)
+    def _pairs(self, t0: float, t: float) -> int:
+        h = _step_length(self._a0, self._b, self._a1, t0, t, self._step)
+        return max(math.ceil((t - t0) / (2.0 * h) - 1e-9), 0)
 
     def advance(self, t: float) -> "ModeEnsemble":
         if t < self.t - 1e-12:
             raise ValueError(f"cannot integrate backwards: {t} < {self.t}")
         while True:
-            pairs = self._pairs(t)
-            fine = self._propagate(self._fine, t, 2 * pairs)
-            coarse = self._propagate(self._coarse, t, pairs)
+            t0, fine, coarse, adiabatic_steps = self.t, self._fine, self._coarse, 0
+            end = min(t, self._adiabatic_end)
+            if t0 == self.config.t_start and end > t0:
+                nodes = _adiabatic_nodes(
+                    self._a0, self._b, self._a1, t0, end, self._step * (LOG_STEP / STEP)
+                )
+                fine, coarse = _adiabatic(self._a0, self._b, self._a1, nodes)
+                t0, adiabatic_steps = end, len(nodes) - 1
+            pairs = self._pairs(t0, t)
+            fine = _magnus(self._a0, self._b, self._a1, fine, t0, t, 2 * pairs)
+            coarse = _magnus(self._a0, self._b, self._a1, coarse, t0, t, pairs)
             err = abs(
                 _overlap_product(_branch_overlaps(fine, self._n_modes))
                 - _overlap_product(_branch_overlaps(coarse, self._n_modes))
@@ -320,6 +505,8 @@ class ModeEnsemble:
                 )
             logger.debug("error estimate %.2e of D at t = %g: step %g halved", err, t, self._step)
             self._restart(self._step / 2.0)
+        if adiabatic_steps:
+            self.handoff, self.adiabatic_steps = t0, adiabatic_steps
         self._fine, self._coarse = fine, coarse
         self.t = t
         self.steps += 2 * pairs
@@ -430,8 +617,8 @@ def trace_run(config: CentralConfig) -> DecoherenceTrace:
         ens.advance(t)
         ds.append(ens.decoherence_factor())
     logger.debug(
-        "%d Magnus steps: error estimate of D %.2e, norm defect %.2e",
-        ens.steps, ens.error_estimate, ens.max_step_drift,
+        "%d adiabatic steps to t = %g, %d Magnus steps: error estimate of D %.2e, norm defect %.2e",
+        ens.adiabatic_steps, ens.handoff, ens.steps, ens.error_estimate, ens.max_step_drift,
     )
     return DecoherenceTrace(
         t=np.array(config.t_grid, dtype=float),
@@ -442,4 +629,6 @@ def trace_run(config: CentralConfig) -> DecoherenceTrace:
         max_step_drift=ens.max_step_drift,
         steps=ens.steps,
         error_estimate=ens.error_estimate,
+        adiabatic_steps=ens.adiabatic_steps,
+        handoff=ens.handoff,
     )

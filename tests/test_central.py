@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from scipy.integrate import quad, solve_ivp
 from scipy.linalg import expm
 
 from spinquench import central
@@ -229,19 +229,28 @@ class TestMagnusPropagator:
     def test_norm_defect_is_measured(self):
         _, ens = self.decoherence(self.config())
         assert 0.0 < ens.max_step_drift < 1e-12
-        assert ens.steps == 2 * round((self.GRID[-1] - self.config().t_start) / 0.1)
+        # adiabatic steps up to where the largest g / E reaches COUPLING, then
+        # pairs of Magnus steps no longer than 0.05 over each interval
+        assert ens.adiabatic_steps == 168
+        assert ens.handoff == pytest.approx(-3.40005, abs=1e-5)
+        assert ens.steps == 2 * (15 + 5 * 20) == 230
 
     @pytest.mark.parametrize("tau", [1.0, 0.5, 0.25])
     def test_fast_sweep_refines_the_step(self, tau):
-        # the smallest h_start allowed; the default step misses TOL at these rates
+        # the smallest h_start allowed; the default Magnus step misses TOL at
+        # these rates.  Observing from t_start keeps the whole run on the
+        # Magnus path: with the adiabatic segment the default step meets TOL
+        # at tau = 1 (TestAdiabaticSegment covers refinement through both).
+        h_start = 1.0 + 10.0 / math.sqrt(tau) + 1e-9
         cfg = self.config(
-            tau=tau, h_start=1.0 + 10.0 / math.sqrt(tau) + 1e-9, t_grid=self.GRID[1:]
+            tau=tau, h_start=h_start, t_grid=(-tau * (h_start - 1.0),) + self.GRID[1:]
         )
         oracle = dop853_decoherence(cfg)
         assert oracle.min() < 0.5
         fixed, coarse = self.decoherence(cfg, tol=math.inf)
         assert coarse.error_estimate > central.TOL
         d, ens = self.decoherence(cfg)
+        assert ens.adiabatic_steps == 0
         assert ens.steps > coarse.steps
         assert ens.error_estimate <= central.TOL
         assert np.abs(d - oracle).max() <= ens.error_estimate
@@ -252,6 +261,168 @@ class TestMagnusPropagator:
             trace_run(self.config(tau=0.1, h_start=33.0))
         monkeypatch.setattr(central, "_MAX_HALVINGS", 2)
         assert trace_run(self.config(tau=0.1, h_start=33.0)).error_estimate <= central.TOL
+
+
+def magnus_reference(config: CentralConfig, step: float) -> np.ndarray:
+    """D at every config.t_grid time from `central._magnus` alone, in `step`s from t_start."""
+    ks = mode_momenta(config.n_spins)
+    pairs = [(k, br) for br in ("+", "-") for k in ks]
+    a0 = np.array([branch_hamiltonian(k, 0.0, br, config)[0, 0] for k, br in pairs])
+    b = np.array([branch_hamiltonian(k, 0.0, br, config)[0, 1] for k, br in pairs])
+    y = np.array([[st.u, st.v] for st in (initial_mode_state(k, br, config) for k, br in pairs)]).T
+    out, t0 = [], config.t_start
+    for t in config.t_grid:
+        y = central._magnus(a0, b, -2.0 / config.tau, y, t0, t, math.ceil((t - t0) / step - 1e-9))
+        inner = np.sum(y[:, : len(ks)].conj() * y[:, len(ks):], axis=0)
+        out.append(np.prod(np.abs(inner) ** 2))
+        t0 = t
+    return np.array(out)
+
+
+def hermite_cubic(f0, d0, f1, d1):
+    """The cubic on s in [0, 1] with values f0, f1 and derivatives d0, d1 at the ends."""
+    return np.polynomial.Polynomial(
+        [f0, d0, 3.0 * (f1 - f0) - 2.0 * d0 - d1, 2.0 * (f0 - f1) + d0 + d1]
+    )
+
+
+class TestAdiabaticSegment:
+    """The adiabatic-frame segment from t_start to the hand-off, and its hand-over to Magnus."""
+
+    GRID = TestMagnusPropagator.GRID
+
+    def config(self, **kw):
+        return CentralConfig(**{"n_spins": 20, "delta": 0.05, "tau": 2.0, "a": 0.9,
+                                "t_grid": self.GRID, **kw})
+
+    def decoherence(self, config, **kw):
+        ens = ModeEnsemble(config, **kw)
+        return np.array([ens.advance(t).decoherence_factor() for t in config.t_grid]), ens
+
+    @pytest.mark.parametrize("span", [0.3, 2.0, 17.0])
+    def test_filon_terms_exact_for_a_cubic(self, span):
+        # quadrature of Omega_1 and Omega_2 for the coupling that the step
+        # interpolates: f(Phi_0 + L s) = P(s), a cubic
+        phi0, f0, f1, df0, df1 = 123.4, 0.008, 0.011, 2e-3 / span, 7e-3 / span
+        start = (np.array([phi0]), np.exp(2j * np.array([phi0])), np.array([f0]), np.array([df0]))
+        end = (np.array([phi0 + span]), np.exp(2j * np.array([phi0 + span])),
+               np.array([f1]), np.array([df1]))
+        w, phi2 = central._filon_terms(start, end)
+        p = hermite_cubic(f0, span * df0, f1, span * df1)
+        re = quad(lambda x: p(x / span) * math.cos(2.0 * x), 0.0, span, epsabs=1e-15, limit=200)[0]
+        im = quad(lambda x: p(x / span) * math.sin(2.0 * x), 0.0, span, epsabs=1e-15, limit=200)[0]
+        assert abs(w[0] - np.exp(2j * phi0) * (re + 1j * im)) < 1e-15
+        # phi2 = int_0^L ds int_0^s dr p(s) p(r) sin(2 (s - r))
+        inner = lambda s_: quad(  # noqa: E731
+            lambda r: p(r / span) * math.sin(2.0 * (s_ - r)), 0.0, s_, epsabs=1e-15, limit=200
+        )[0]
+        ref = quad(lambda s_: p(s_ / span) * inner(s_), 0.0, span, epsabs=1e-16, limit=200)[0]
+        assert phi2[0] == pytest.approx(ref, rel=1e-12)
+
+    def test_handoff_with_every_pair_at_its_crossing(self):
+        # N = 2, delta = 0: both pairs have a = 0 at t = tau, and at tau = 100
+        # g / E never reaches COUPLING, so the segment ends there with no
+        # coupling changing; its nodes are graded over the segment's length
+        cfg = CentralConfig(n_spins=2, delta=0.0, tau=100.0, a=0.9, t_grid=(100.0, 110.0))
+        d, ens = self.decoherence(cfg)
+        assert ens.handoff == 100.0 and ens.adiabatic_steps == 70
+        assert np.allclose(d, 1.0, atol=1e-12)
+
+    def test_handoff_is_where_the_largest_coupling_reaches_threshold(self):
+        cfg = self.config()
+        ens = ModeEnsemble(cfg)
+        t_h = central._handoff(ens._a0, ens._b, ens._a1, cfg.t_start, math.inf)
+        t = np.linspace(cfg.t_start, 0.0, 200001)
+        a = ens._a0[:, None] + ens._a1 * t[None, :]
+        b = ens._b[:, None]
+        coupling = np.max(-b * ens._a1 / (2.0 * np.hypot(a, b) ** 3), axis=0)
+        first = t[np.argmax(coupling >= central.COUPLING)]
+        assert first - (t[1] - t[0]) <= t_h <= first
+        # the first observation time comes first when it is earlier
+        assert central._handoff(ens._a0, ens._b, ens._a1, cfg.t_start, -5.0) == -5.0
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, {"gamma": 0.1},
+         {"tau": 0.25, "h_start": 1.0 + 10.0 / math.sqrt(0.25) + 1e-9, "t_grid": GRID[1:]}],
+        ids=["defaults", "small-gamma", "fast-sweep"],
+    )
+    def test_error_estimate_bounds_the_dop853_error(self, overrides):
+        cfg = self.config(**overrides)
+        oracle = dop853_decoherence(cfg)
+        assert oracle.min() < 0.5
+        d, ens = self.decoherence(cfg)
+        assert ens.adiabatic_steps > 0 and ens.handoff > cfg.t_start
+        assert np.abs(d - oracle).max() <= ens.error_estimate <= central.TOL
+
+    def test_fast_sweep_refines_both_segments(self):
+        # at tau = 0.25 the default step misses TOL: both segments are refined
+        cfg = self.config(tau=0.25, h_start=1.0 + 10.0 / math.sqrt(0.25) + 1e-9,
+                          t_grid=self.GRID[1:])
+        _, fixed = self.decoherence(cfg, tol=math.inf)
+        assert fixed.error_estimate > central.TOL
+        _, ens = self.decoherence(cfg)
+        assert ens.handoff == fixed.handoff
+        assert ens.adiabatic_steps >= 2 * fixed.adiabatic_steps - 2
+        assert ens.steps > fixed.steps
+
+    def test_observation_at_t_start_is_the_magnus_path(self):
+        cfg = self.config(t_grid=(self.config().t_start,) + self.GRID)
+        d, ens = self.decoherence(cfg)
+        assert ens.adiabatic_steps == 0 and ens.handoff == cfg.t_start
+        assert d.tobytes() == self.magnus_path(cfg).tobytes()
+
+    def test_handoff_at_t_start_is_the_magnus_path(self, monkeypatch):
+        # a threshold every pair exceeds from the start leaves nothing adiabatic
+        monkeypatch.setattr(central, "COUPLING", 1e-12)
+        cfg = self.config()
+        d, ens = self.decoherence(cfg)
+        assert ens.adiabatic_steps == 0 and ens.handoff == cfg.t_start
+        assert d.tobytes() == self.magnus_path(cfg).tobytes()
+
+    @staticmethod
+    def magnus_path(cfg) -> np.ndarray:
+        """D from `central._magnus` marched as ModeEnsemble marches it with no adiabatic segment."""
+        ens = ModeEnsemble(cfg)
+        y, t0, out = ens._y0, cfg.t_start, []
+        for t in cfg.t_grid:
+            h = central._step_length(ens._a0, ens._b, ens._a1, t0, t, central.STEP)
+            pairs = max(math.ceil((t - t0) / (2.0 * h) - 1e-9), 0)
+            y = central._magnus(ens._a0, ens._b, ens._a1, y, t0, t, 2 * pairs)
+            out.append(central._overlap_product(central._branch_overlaps(y, ens._n_modes)))
+            t0 = t
+        return np.array(out)
+
+    def test_fixed_step_halving_order(self, monkeypatch):
+        # only the adiabatic step changes; the Magnus steps after the hand-off
+        # are the same in every run.  The Filon error of a step carries the
+        # phase of its nodes, so single halving ratios scatter (7 to 150
+        # here); over four halvings D converges at the fourth order of
+        # Omega_1 + Omega_2.
+        d = []
+        for log_step in (0.08, 0.04, 0.02, 0.01, 0.005):
+            monkeypatch.setattr(central, "LOG_STEP", log_step)
+            d.append(self.decoherence(self.config(), tol=math.inf)[0])
+        diffs = [np.abs(a - b).max() for a, b in zip(d, d[1:])]
+        order = math.log2(diffs[0] / diffs[-1]) / (len(diffs) - 1)
+        assert 3.5 <= order <= 5.5
+        assert all(a > b for a, b in zip(diffs, diffs[1:]))
+
+    def test_revival_matches_all_magnus_reference(self):
+        # the benchmark's N = 500 revival trace through both critical points
+        cfg = CentralConfig(
+            n_spins=500, delta=0.01, tau=50.0, a=0.9, h_start=4.0,
+            t_grid=tuple(-18.125 + 2.5 * i for i in range(69)),
+        )
+        ens = ModeEnsemble(cfg)
+        d = [ens.advance(cfg.t_grid[0]).decoherence_factor()]
+        # the 2 638 Magnus steps before the first observation time become
+        # at most a tenth as many adiabatic and Magnus steps
+        assert ens.adiabatic_steps + ens.steps <= 264
+        d += [ens.advance(t).decoherence_factor() for t in cfg.t_grid[1:]]
+        ref = magnus_reference(cfg, 0.0125)
+        assert ref.min() < 0.2 and ref.max() > 0.9
+        assert np.abs(np.array(d) - ref).max() <= 1e-7
 
 
 class TestDecoherenceFactor:

@@ -224,7 +224,7 @@ class TestDecohere:
         )
         assert code == 0
         assert "magnus" not in out
-        assert "magnus: 520 steps, error estimate of D" in err
+        assert "adiabatic: 168 steps to t = -3.40005; magnus: 230 steps, error estimate of D" in err
 
     # tau = 0.5 with the smallest h_start allowed: the default step misses
     # the error tolerance there and the propagator must refine it
