@@ -9,6 +9,7 @@ Use --delta 1e-4 with --t0 0 --t1 300 for the weak-coupling decay regime.
 """
 
 import argparse
+import math
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +33,9 @@ def main():
     args = ap.parse_args()
 
     args.outdir.mkdir(parents=True, exist_ok=True)
-    t_grid = tuple(np.arange(args.t0, args.t1 + args.dt / 2.0, args.dt))
+    # up to t1, never past it: the last time t0 + k dt <= t1 + 1e-9 dt
+    steps = math.floor((args.t1 - args.t0) / args.dt + 1e-9)
+    t_grid = tuple(np.arange(args.t0, args.t0 + (steps + 0.5) * args.dt, args.dt))
     # D(t) does not depend on the Werner weight: evolve once, reuse for all a
     cfg = CentralConfig(
         n_spins=args.n_spins,

@@ -88,16 +88,19 @@ class CentralConfig:
     def __post_init__(self):
         if self.n_spins < 2 or self.n_spins % 2 != 0:
             raise ValueError(f"n_spins must be even and >= 2, got {self.n_spins}")
-        if self.delta < 0.0:
-            raise ValueError(f"delta must be >= 0, got {self.delta}")
-        if self.tau <= 0.0:
-            raise ValueError(f"tau must be > 0, got {self.tau}")
+        # every check is written so that NaN fails it
+        if not (self.delta >= 0.0) or not math.isfinite(self.delta):
+            raise ValueError(f"delta must be finite and >= 0, got {self.delta}")
+        if not (self.tau > 0.0) or not math.isfinite(self.tau):
+            raise ValueError(f"tau must be finite and > 0, got {self.tau}")
         if not (0.0 <= self.a <= 1.0):
             raise ValueError(f"Werner weight a must be in [0, 1], got {self.a}")
         if not (0.0 < self.gamma <= 1.0):
             raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
+        if not math.isfinite(self.h_start):
+            raise ValueError(f"h_start must be finite, got {self.h_start}")
         # the evolution must start deep in the adiabatic regime
-        if self.h_start - 1.0 < 10.0 * max(self.delta, 1.0 / math.sqrt(self.tau)):
+        if not (self.h_start - 1.0 >= 10.0 * max(self.delta, 1.0 / math.sqrt(self.tau))):
             raise ValueError(
                 f"h_start = {self.h_start} too close to the critical point: "
                 f"require h_start - 1 >= 10 max(delta, tau^-1/2)"
@@ -105,6 +108,8 @@ class CentralConfig:
         grid = tuple(float(t) for t in self.t_grid)
         if len(grid) == 0:
             raise ValueError("t_grid must not be empty")
+        if not all(math.isfinite(t) for t in grid):
+            raise ValueError("t_grid must be finite")
         if any(b <= a_ for a_, b in zip(grid, grid[1:])):
             raise ValueError("t_grid must be strictly increasing")
         if grid[0] < self.t_start:
@@ -119,19 +124,6 @@ class CentralConfig:
 
     def h_of_t(self, t: float) -> float:
         return 1.0 - t / self.tau
-
-
-@dataclass(frozen=True)
-class ModeState:
-    """Amplitudes of |0> and |k,-k> for one momentum mode."""
-
-    u: complex
-    v: complex
-
-    def __post_init__(self):
-        nrm = abs(self.u) ** 2 + abs(self.v) ** 2
-        if abs(nrm - 1.0) > 1e-8:
-            raise ValueError(f"mode state norm^2 = {nrm}, expected 1")
 
 
 @dataclass
@@ -171,38 +163,6 @@ def mode_momenta(n_spins: int) -> np.ndarray:
         raise ValueError(f"n_spins must be even and >= 2, got {n_spins}")
     m = np.arange(1, n_spins // 2 + 1)
     return (2 * m - 1) * np.pi / n_spins
-
-
-def _branch_sign(branch) -> float:
-    if branch in ("+", +1, 1.0):
-        return 1.0
-    if branch in ("-", -1, -1.0):
-        return -1.0
-    raise ValueError(f"branch must be '+' or '-', got {branch!r}")
-
-
-def branch_hamiltonian(k: float, t: float, branch, config: CentralConfig) -> np.ndarray:
-    """The 2x2 mode Hamiltonian of the given branch at time t."""
-    diag = 2.0 * (config.h_of_t(t) + _branch_sign(branch) * config.delta + math.cos(k))
-    off = 2.0 * config.gamma * math.sin(k)
-    return np.array([[diag, off], [off, -diag]])
-
-
-def initial_mode_state(k: float, branch, config: CentralConfig) -> ModeState:
-    """Ground state of the branch Hamiltonian at the start of the sweep.
-
-    Phase fixed so u is real and nonnegative; in the dominant-field limit
-    (h_start -> infinity) the state tends to (u, v) = (0, 1) up to the sign
-    of v.
-    """
-    h = branch_hamiltonian(k, config.t_start, branch, config)
-    a, b = h[0, 0], h[0, 1]
-    e = math.hypot(a, b)
-    u, v = b, -(a + e)
-    nrm = math.hypot(u, v)
-    if nrm < 1e-300:  # a < 0 and b = 0: ground state is exactly |0>
-        return ModeState(1.0 + 0.0j, 0.0j)
-    return ModeState(complex(u / nrm), complex(v / nrm))
 
 
 def _magnus(a0: np.ndarray, b: np.ndarray, a1: float, y: np.ndarray,
@@ -521,43 +481,6 @@ class ModeEnsemble:
 
     def decoherence_factor(self) -> float:
         return _overlap_product(self.mode_overlaps())
-
-
-def evolve_mode(
-    k: float, branch, config: CentralConfig, t_from: float, t_to: float, state: ModeState
-) -> ModeState:
-    """Advance one mode state under the branch Hamiltonian from t_from to t_to.
-
-    Equal Magnus steps no longer than STEP, each rotating the state by at
-    most _MAX_ANGLE; no error estimate.
-    """
-    if t_to < t_from - 1e-12:
-        raise ValueError(f"cannot integrate backwards: {t_to} < {t_from}")
-    a0 = np.array([2.0 * (1.0 + _branch_sign(branch) * config.delta + math.cos(k))])
-    b = np.array([2.0 * config.gamma * math.sin(k)])
-    a1 = -2.0 / config.tau
-    h = _step_length(a0, b, a1, t_from, t_to, STEP)
-    y = _magnus(
-        a0, b, a1, np.array([[state.u], [state.v]], dtype=complex), t_from, t_to,
-        max(math.ceil((t_to - t_from) / h - 1e-9), 0),
-    )
-    return ModeState(complex(y[0, 0]), complex(y[1, 0]))
-
-
-def decoherence_factor(config: CentralConfig, t: float) -> float:
-    """D(t) for a fresh run of the configured sweep (product over modes)."""
-    return ModeEnsemble(config).advance(t).decoherence_factor()
-
-
-def approx_Fk(k: float, t: float, delta: float, tau: float) -> float:
-    """Weak-coupling per-mode overlap 1 - 4 sin^2(4 t delta) (e^{-2 pi tau k^2} - e^{-4 pi tau k^2}).
-
-    k is the momentum offset from the critical mode of the band excited at the
-    crossing, and t the time elapsed since that crossing.
-    """
-    g = math.exp(-2.0 * math.pi * tau * k * k) - math.exp(-4.0 * math.pi * tau * k * k)
-    val = 1.0 - 4.0 * math.sin(4.0 * t * delta) ** 2 * g
-    return min(max(val, 0.0), 1.0)
 
 
 def weak_coupling_D(t: float, config: CentralConfig) -> float:

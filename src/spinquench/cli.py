@@ -9,6 +9,7 @@ for a fixed configuration; sweep's --workers is accepted but has no effect.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 
@@ -243,28 +244,20 @@ def _extract_config_path(argv) -> str | None:
 
 def _parse(argv) -> RunConfig:
     parser = _make_parser()
-    # config-file values become parser defaults, so explicitly passed flags
-    # always win; the file is located by scanning argv before parsing since
-    # required flags may be satisfied by the file itself
+    # the file is located by scanning argv before parsing, since required
+    # flags may be satisfied by the file itself
     config_path = _extract_config_path(argv)
-    subcommand = argv[0] if argv and not argv[0].startswith("-") else None
-    if config_path is not None and subcommand is not None:
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    sub = subparsers.choices.get(argv[0]) if argv else None
+    if config_path is not None and sub is not None:
         file_values = _read_config_file(config_path)
-        sub = next(
-            sp for a in parser._actions if isinstance(a, argparse._SubParsersAction)
-            for name, sp in a.choices.items() if name == subcommand
-        )
-        known = {a.dest for a in sub._actions}
-        unknown = set(file_values) - known
+        flags = {a.dest: a.option_strings[-1] for a in sub._actions if a.option_strings}
+        unknown = set(file_values) - set(flags)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        typed = {}
-        for action in sub._actions:
-            if action.dest in file_values:
-                raw = file_values[action.dest]
-                typed[action.dest] = action.type(raw) if action.type else raw
-                action.required = False  # the config file satisfied it
-        sub.set_defaults(**typed)
+        # file values go in front of the command line's flags: argparse checks
+        # them as it checks flags, and a flag given again on the command line wins
+        argv = [argv[0], *(f"{flags[k]}={v}" for k, v in file_values.items()), *argv[1:]]
     args = parser.parse_args(argv)
 
     cfg = RunConfig(subcommand=args.subcommand, output_path=args.output)
@@ -304,9 +297,11 @@ def _parse(argv) -> RunConfig:
             raise ValueError("--window-max must exceed --window-min")
         cfg.window = (args.window_min, args.window_max)
     elif args.subcommand == "decohere":
-        if args.dt <= 0.0 or args.t1 <= args.t0:
-            raise ValueError("need t1 > t0 and dt > 0")
-        n_steps = int(round((args.t1 - args.t0) / args.dt))
+        span = args.t1 - args.t0
+        if not (args.dt > 0.0 and 0.0 < span < math.inf):
+            raise ValueError("need finite t0 < t1 and dt > 0")
+        # the last time t0 + k dt not past t1, up to roundoff of 1e-9 dt
+        n_steps = math.floor(span / args.dt + 1e-9)
         t_grid = tuple(args.t0 + i * args.dt for i in range(n_steps + 1))
         cfg.central_config = central.CentralConfig(
             n_spins=args.n_spins,

@@ -68,8 +68,8 @@ class QuenchProtocol:
             if self.gamma is not None or self.j3 is not None:
                 raise ValueError("multicritical quench takes no gamma/j3 parameters")
         elif self.kind is ProtocolKind.THREE_SPIN:
-            if self.j3 is None or self.j3 < 0.0:
-                raise ValueError(f"three-spin quench requires j3 >= 0, got {self.j3}")
+            if self.j3 is None or not (self.j3 >= 0.0) or not math.isfinite(self.j3):
+                raise ValueError(f"three-spin quench requires finite j3 >= 0, got {self.j3}")
             if self.gamma is not None:
                 raise ValueError("gamma is only meaningful for the Ising quench")
 

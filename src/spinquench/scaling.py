@@ -62,9 +62,6 @@ class SweepTable:
     def abscissa(self) -> np.ndarray:
         return self.data[:, 0]
 
-    def valid_rows(self) -> np.ndarray:
-        return np.all(np.isfinite(self.data), axis=1)
-
 
 @dataclass(frozen=True)
 class ScalingFit:

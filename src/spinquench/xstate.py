@@ -2,9 +2,10 @@
 
 States are `XStateDensityMatrix` instances, whose only nonzero entries sit
 on the diagonal and anti-diagonal (basis |A> tensor |B>, ordering uu, ud, du,
-dd).  The dense helpers (`mutual_information`, `conditional_state`,
-`conditional_entropy`, `concurrence_wootters`) also take a 4x4 matrix.  All
-entropies are in bits with the 0 log 0 = 0 convention.
+dd).  Every measure takes X states only.  Two dense helpers,
+`conditional_entropy` and `concurrence_wootters`, also take a 4x4 matrix:
+the benchmark reads them, and the tests use them as oracles.  All entropies
+are in bits with the 0 log 0 = 0 convention.
 
 The classical correlation maximizes the information a projective measurement
 on qubit B yields about qubit A, over the full Bloch sphere of measurement
@@ -95,8 +96,7 @@ class MeasurementBasis:
     """Projective measurement direction on the Bloch sphere of qubit B.
 
     The two projectors are V|0><0|V^dag and V|1><1|V^dag with
-    V = [[cos t/2, sin t/2 e^{-i p}], [sin t/2 e^{i p}, -cos t/2]];
-    outcome "+" is the V-rotated |0> side.
+    V = [[cos t/2, sin t/2 e^{-i p}], [sin t/2 e^{i p}, -cos t/2]].
     """
 
     theta: float
@@ -107,14 +107,6 @@ class MeasurementBasis:
             raise ValueError(f"theta = {self.theta} outside [0, pi]")
         if not (0.0 <= self.phi < 2.0 * np.pi):
             raise ValueError(f"phi = {self.phi} outside [0, 2 pi)")
-
-    def vectors(self) -> tuple[np.ndarray, np.ndarray]:
-        """Measured basis states (w_plus, w_minus) of qubit B."""
-        ct, st = math.cos(self.theta / 2.0), math.sin(self.theta / 2.0)
-        ph = np.exp(1j * self.phi)
-        w_plus = np.array([ct, st * ph])
-        w_minus = np.array([st / ph, -ct])
-        return w_plus, w_minus
 
 
 @dataclass(frozen=True)
@@ -162,18 +154,6 @@ def _as_matrix(rho) -> np.ndarray:
     return arr
 
 
-def von_neumann_entropy(rho) -> float:
-    """Entropy in bits of a density matrix of any dimension."""
-    arr = np.asarray(rho, dtype=complex)
-    return _entropy_bits(np.linalg.eigvalsh(arr))
-
-
-def reduced_states(rho) -> tuple[np.ndarray, np.ndarray]:
-    """Partial traces (rho_A, rho_B) of a two-qubit state."""
-    r = _as_matrix(rho).reshape(2, 2, 2, 2)
-    return np.einsum("abcb->ac", r), np.einsum("abad->bd", r)
-
-
 def build_xstate(c: CorrelatorSet) -> XStateDensityMatrix:
     """Assemble the X state whose correlators are `c`.
 
@@ -194,27 +174,6 @@ def build_xstate(c: CorrelatorSet) -> XStateDensityMatrix:
     return XStateDensityMatrix(
         b1=complex((c.c1 - c.c2) / 4.0), b2=complex((c.c1 + c.c2) / 4.0), **clamped
     )
-
-
-def xstate_eigenvalues(state) -> np.ndarray:
-    """Eigenvalues of an X state, from closed form.
-
-    Accepts an XStateDensityMatrix or a CorrelatorSet; the correlator form
-    evaluates the printed expressions
-    (1/4)[(1+c3) +- sqrt(4 c4^2 + (c1-c2)^2)] and (1/4)[(1-c3) +- (c1+c2)].
-    """
-    if isinstance(state, CorrelatorSet):
-        c = state
-        disc = math.sqrt(4.0 * c.c4**2 + (c.c1 - c.c2) ** 2)
-        return np.array(
-            [
-                0.25 * ((1.0 + c.c3) + disc),
-                0.25 * ((1.0 + c.c3) - disc),
-                0.25 * ((1.0 - c.c3) + (c.c1 + c.c2)),
-                0.25 * ((1.0 - c.c3) - (c.c1 + c.c2)),
-            ]
-        )
-    return state.eigenvalues()
 
 
 def _polarization_entropy(c4: np.ndarray) -> np.ndarray:
@@ -257,46 +216,15 @@ def mutual_informations(states: list[XStateDensityMatrix]) -> np.ndarray:
     return np.where(bad, np.nan, np.where(0.0 > val, 0.0, val))
 
 
-def mutual_information(rho) -> float:
-    """I = s(rho_A) + s(rho_B) - s(rho), in bits.
+def mutual_information(rho: XStateDensityMatrix) -> float:
+    """I = s(rho_A) + s(rho_B) - s(rho) in bits: a batch of one of `mutual_informations`.
 
-    An X state is a batch of one of `mutual_informations`; a 4x4 matrix
-    takes the dense route.
+    Dense matrices are rejected.
     """
-    if isinstance(rho, XStateDensityMatrix):
-        val = float(mutual_informations([rho])[0])
-        if math.isnan(val):
-            raise ValueError(f"eigenvalue below -{_EIG_CLAMP}: {rho.eigenvalues().min()}")
-        return val
-    arr = _as_matrix(rho)
-    rho_a, rho_b = reduced_states(arr)
-    val = (
-        _entropy_bits(np.linalg.eigvalsh(rho_a))
-        + _entropy_bits(np.linalg.eigvalsh(rho_b))
-        - _entropy_bits(np.linalg.eigvalsh(arr))
-    )
-    return max(val, 0.0)
-
-
-def conditional_state(rho, basis: MeasurementBasis, outcome: str):
-    """Measure qubit B; return (probability, post-measurement 4x4 state).
-
-    outcome "+" projects onto the V-rotated |0> side, "-" onto the |1> side.
-    When the outcome probability is below 1e-15 the conditional state is
-    undefined: returns (0.0, state of NaNs).
-    """
-    if outcome not in ("+", "-"):
-        raise ValueError(f"outcome must be '+' or '-', got {outcome!r}")
-    arr = _as_matrix(rho)
-    w_plus, w_minus = basis.vectors()
-    w = w_plus if outcome == "+" else w_minus
-    r = arr.reshape(2, 2, 2, 2)
-    m = np.einsum("b,abcd,d->ac", w.conj(), r, w)
-    p = float(np.trace(m).real)
-    if p < 1e-15:
-        return 0.0, np.full((4, 4), np.nan, dtype=complex)
-    post = np.einsum("ac,b,d->abcd", m, w, w.conj()).reshape(4, 4) / p
-    return p, post
+    val = float(mutual_informations([rho])[0])
+    if math.isnan(val):
+        raise ValueError(f"eigenvalue below -{_EIG_CLAMP}: {rho.eigenvalues().min()}")
+    return val
 
 
 def conditional_entropy(rho, theta: float, phi: float) -> float:

@@ -1,5 +1,7 @@
 """Shared fixtures: random state generators, the polar-axis closed form, the
-general measurement-search oracle, and the acceptance-criterion report."""
+general measurement-search oracle, the dense 4x4 and single-mode oracles (the
+library measures X states and propagates all modes at once), and the
+acceptance-criterion report."""
 
 from __future__ import annotations
 
@@ -9,14 +11,15 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+from spinquench import central
 from spinquench.xstate import (
+    CorrelatorSet,
     MeasurementBasis,
     XStateDensityMatrix,
+    _as_matrix,
+    _entropy_bits,
     classical_correlation,
     conditional_entropy,
-    mutual_information,
-    reduced_states,
-    von_neumann_entropy,
 )
 
 _CRITERION_RESULTS: list[tuple[str, bool, str]] = []
@@ -94,6 +97,89 @@ def closed_form_C_polar_n2(beta0: float, beta2: float) -> float:
     )
 
 
+def von_neumann_entropy(rho) -> float:
+    """Entropy in bits of a density matrix of any dimension."""
+    return _entropy_bits(np.linalg.eigvalsh(np.asarray(rho, dtype=complex)))
+
+
+def reduced_states(rho) -> tuple[np.ndarray, np.ndarray]:
+    """Partial traces (rho_A, rho_B) of a two-qubit state, dense or X."""
+    r = _as_matrix(rho).reshape(2, 2, 2, 2)
+    return np.einsum("abcb->ac", r), np.einsum("abad->bd", r)
+
+
+def dense_mutual_information(rho) -> float:
+    """I = s(rho_A) + s(rho_B) - s(rho) in bits of any two-qubit state."""
+    val = sum(map(von_neumann_entropy, reduced_states(rho))) - von_neumann_entropy(_as_matrix(rho))
+    return max(val, 0.0)
+
+
+def correlator_eigenvalues(c: CorrelatorSet) -> np.ndarray:
+    """The printed eigenvalues (1/4)[(1+c3) +- sqrt(4 c4^2 + (c1-c2)^2)] and
+    (1/4)[(1-c3) +- (c1+c2)]."""
+    outer, inner = math.sqrt(4.0 * c.c4**2 + (c.c1 - c.c2) ** 2), c.c1 + c.c2
+    return 0.25 * np.array([1 + c.c3 + outer, 1 + c.c3 - outer, 1 - c.c3 + inner, 1 - c.c3 - inner])
+
+
+def basis_vectors(basis: MeasurementBasis) -> tuple[np.ndarray, np.ndarray]:
+    """Measured states (w_plus, w_minus) of qubit B: the columns of MeasurementBasis's V."""
+    ct, st = math.cos(basis.theta / 2.0), math.sin(basis.theta / 2.0)
+    ph = np.exp(1j * basis.phi)
+    return np.array([ct, st * ph]), np.array([st / ph, -ct])
+
+
+def conditional_state(rho, basis: MeasurementBasis, outcome: str):
+    """(probability, post-measurement 4x4 state) of outcome "+" (w_plus) or "-" of
+    measuring qubit B; (0.0, NaNs) when the probability is below 1e-15."""
+    if outcome not in ("+", "-"):
+        raise ValueError(f"outcome must be '+' or '-', got {outcome!r}")
+    w = basis_vectors(basis)[outcome == "-"]
+    m = np.einsum("b,abcd,d->ac", w.conj(), _as_matrix(rho).reshape(2, 2, 2, 2), w)
+    p = float(np.trace(m).real)
+    if p < 1e-15:
+        return 0.0, np.full((4, 4), np.nan, dtype=complex)
+    return p, np.einsum("ac,b,d->abcd", m, w, w.conj()).reshape(4, 4) / p
+
+
+def branch_hamiltonian(k: float, t: float, branch: str, config) -> np.ndarray:
+    """The 2x2 Hamiltonian of mode k on branch "+" or "-" (spinquench.central docstring)."""
+    if branch not in ("+", "-"):
+        raise ValueError(f"branch must be '+' or '-', got {branch!r}")
+    diag = 2.0 * (config.h_of_t(t) + (1.0 if branch == "+" else -1.0) * config.delta + math.cos(k))
+    off = 2.0 * config.gamma * math.sin(k)
+    return np.array([[diag, off], [off, -diag]])
+
+
+def initial_mode_state(k: float, branch: str, config) -> np.ndarray:
+    """Ground state (u, v) of the branch Hamiltonian at t_start, with u real and >= 0."""
+    h = branch_hamiltonian(k, config.t_start, branch, config)
+    a, b = h[0, 0], h[0, 1]
+    u, v = b, -(a + math.hypot(a, b))
+    nrm = math.hypot(u, v)
+    if nrm < 1e-300:  # a < 0 and b = 0: ground state is exactly |0>
+        return np.array([1.0, 0.0], dtype=complex)
+    return np.array([u / nrm, v / nrm], dtype=complex)
+
+
+def evolve_mode(k: float, branch: str, config, t_from: float, t_to: float, y) -> np.ndarray:
+    """(u, v) of one mode carried from t_from to t_to by `central._magnus`, in equal
+    steps no longer than central.STEP that rotate it by at most pi/2."""
+    h0 = branch_hamiltonian(k, 0.0, branch, config)
+    a0, b, a1 = h0[:1, 0], h0[:1, 1], -2.0 / config.tau
+    h = central._step_length(a0, b, a1, t_from, t_to, central.STEP)
+    n_steps = max(math.ceil((t_to - t_from) / h - 1e-9), 0)
+    y = np.asarray(y, dtype=complex)[:, None]
+    return central._magnus(a0, b, a1, y, t_from, t_to, n_steps)[:, 0]
+
+
+def approx_Fk(k: float, t: float, delta: float, tau: float) -> float:
+    """Weak-coupling per-mode overlap 1 - 4 sin^2(4 t delta) (e^{-2 pi tau k^2} -
+    e^{-4 pi tau k^2}), k the momentum offset from the critical mode of the band
+    excited at a crossing and t the time since that crossing."""
+    g = math.exp(-2.0 * math.pi * tau * k * k) - math.exp(-4.0 * math.pi * tau * k * k)
+    return min(max(1.0 - 4.0 * math.sin(4.0 * t * delta) ** 2 * g, 0.0), 1.0)
+
+
 def _xlog2(x: np.ndarray) -> np.ndarray:
     return np.where(x > 0.0, x * np.log2(np.where(x > 0.0, x, 1.0)), 0.0)
 
@@ -155,7 +241,7 @@ def oracle_classical_correlation(rho) -> float:
 
 def oracle_discord(rho) -> float:
     """Mutual information minus `oracle_classical_correlation`, in bits."""
-    return mutual_information(rho) - oracle_classical_correlation(rho)
+    return dense_mutual_information(rho) - oracle_classical_correlation(rho)
 
 
 def basis_value(state: XStateDensityMatrix, basis: MeasurementBasis) -> float:

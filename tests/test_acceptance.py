@@ -23,13 +23,17 @@ import pytest
 from scipy.linalg import expm
 from scipy.special import ive
 
-from conftest import closed_form_C_polar_n2, random_x_state, record_criterion
-from spinquench.central import (
-    CentralConfig,
+from conftest import (
     branch_hamiltonian,
-    concurrence_werner,
+    closed_form_C_polar_n2,
     evolve_mode,
     initial_mode_state,
+    random_x_state,
+    record_criterion,
+)
+from spinquench.central import (
+    CentralConfig,
+    concurrence_werner,
     qubit_state,
     trace_run,
     weak_coupling_D,
@@ -326,10 +330,8 @@ def test_criterion_9_numerical_hygiene(weak_coupling_trace):
     for k in (0.4, 1.5, 2.8):
         st0 = initial_mode_state(k, "+", frozen)
         st1 = evolve_mode(k, "+", frozen, 0.0, 7.0, st0)
-        exact = expm(-1j * branch_hamiltonian(k, 0.0, "+", frozen) * 7.0) @ np.array(
-            [st0.u, st0.v]
-        )
-        worst_rk = max(worst_rk, float(np.abs(np.array([st1.u, st1.v]) - exact).max()))
+        exact = expm(-1j * branch_hamiltonian(k, 0.0, "+", frozen) * 7.0) @ st0
+        worst_rk = max(worst_rk, float(np.abs(st1 - exact).max()))
     c.check(worst_rk < 1e-8, f"integrator matches matrix exponential (diff {worst_rk:.2e})")
     c.finish("9. numerical hygiene")
 

@@ -18,19 +18,19 @@ from spinquench.central import (
     CentralConfig,
     IntegrationError,
     ModeEnsemble,
-    ModeState,
-    approx_Fk,
-    branch_hamiltonian,
     concurrence_werner,
-    decoherence_factor,
-    evolve_mode,
-    initial_mode_state,
     mode_momenta,
     qubit_state,
     trace_run,
     weak_coupling_D,
 )
-from conftest import assert_matches_oracle
+from conftest import (
+    approx_Fk,
+    assert_matches_oracle,
+    branch_hamiltonian,
+    evolve_mode,
+    initial_mode_state,
+)
 from spinquench.kernels import QuenchProtocol, excitation_probability
 from spinquench.xstate import concurrence_wootters, discord, mutual_information
 
@@ -94,22 +94,21 @@ class TestBranchHamiltonian:
 
 class TestInitialModeState:
     def test_dominant_field_limit(self):
-        st = initial_mode_state(0.5, "+", small_config(h_start=200.0, tau=10.0))
-        assert abs(st.v) ** 2 == pytest.approx(1.0, abs=1e-4)
-        assert st.u.real >= 0.0
-        assert st.u.imag == 0.0
+        u, v = initial_mode_state(0.5, "+", small_config(h_start=200.0, tau=10.0))
+        assert abs(v) ** 2 == pytest.approx(1.0, abs=1e-4)
+        assert u.real >= 0.0
+        assert u.imag == 0.0
 
     def test_zero_offdiagonal_is_sz_eigenstate(self):
-        st = initial_mode_state(0.0, "+", small_config())
-        assert abs(st.u) == 0.0
-        assert abs(st.v) == 1.0
+        u, v = initial_mode_state(0.0, "+", small_config())
+        assert abs(u) == 0.0
+        assert abs(v) == 1.0
 
     def test_eigenvector_residual(self):
         cfg = small_config()
         for k in (0.3, 1.2, 2.8):
-            st = initial_mode_state(k, "-", cfg)
+            vec = initial_mode_state(k, "-", cfg)
             h = branch_hamiltonian(k, cfg.t_start, "-", cfg)
-            vec = np.array([st.u, st.v])
             lam = np.linalg.eigvalsh(h)[0]
             assert np.linalg.norm(h @ vec - lam * vec) < 1e-12
 
@@ -122,8 +121,8 @@ class TestEvolveMode:
             st0 = initial_mode_state(k, "+", cfg)
             st1 = evolve_mode(k, "+", cfg, 0.0, 5.0, st0)
             h = branch_hamiltonian(k, 0.0, "+", cfg)
-            exact = expm(-1j * h * 5.0) @ np.array([st0.u, st0.v])
-            assert np.abs(np.array([st1.u, st1.v]) - exact).max() < 1e-8
+            exact = expm(-1j * h * 5.0) @ st0
+            assert np.abs(st1 - exact).max() < 1e-8
 
     def test_delta_zero_branch_overlap_stays_one(self):
         cfg = small_config(delta=0.0, t_grid=(0.0, 5.0, 15.0, 25.0))
@@ -145,25 +144,19 @@ class TestEvolveMode:
             h = branch_hamiltonian(k, t_end, "+", cfg)
             eigs, vecs = np.linalg.eigh(h)
             excited = vecs[:, 1]
-            p = abs(np.vdot(excited, np.array([st1.u, st1.v]))) ** 2
+            p = abs(np.vdot(excited, st1)) ** 2
             oracle = excitation_probability(QuenchProtocol.ising(1.0, 2.0 * tau), k)
             assert p == pytest.approx(oracle, rel=0.05)
 
     def test_norm_preserved_along_trajectory(self):
         cfg = small_config(tau=5.0)
-        st = initial_mode_state(1.0, "-", cfg)
-        st = evolve_mode(1.0, "-", cfg, cfg.t_start, 20.0, st)
-        assert abs(abs(st.u) ** 2 + abs(st.v) ** 2 - 1.0) < 1e-8
+        u, v = evolve_mode(1.0, "-", cfg, cfg.t_start, 20.0, initial_mode_state(1.0, "-", cfg))
+        assert abs(abs(u) ** 2 + abs(v) ** 2 - 1.0) < 1e-8
 
     def test_backwards_integration_rejected(self):
-        cfg = small_config()
-        st = initial_mode_state(1.0, "+", cfg)
+        ens = ModeEnsemble(small_config()).advance(5.0)
         with pytest.raises(ValueError):
-            evolve_mode(1.0, "+", cfg, 5.0, 1.0, st)
-
-    def test_mode_state_norm_validated(self):
-        with pytest.raises(ValueError):
-            ModeState(1.0, 1.0)
+            ens.advance(1.0)
 
 
 def dop853_decoherence(config: CentralConfig) -> np.ndarray:
@@ -173,9 +166,7 @@ def dop853_decoherence(config: CentralConfig) -> np.ndarray:
     # the Hamiltonian is linear in t: H(t) = H(0) + t (H(1) - H(0))
     h0 = np.array([branch_hamiltonian(k, 0.0, br, config) for k, br in pairs])
     h1 = np.array([branch_hamiltonian(k, 1.0, br, config) for k, br in pairs]) - h0
-    y0 = np.array(
-        [[st.u, st.v] for st in (initial_mode_state(k, br, config) for k, br in pairs)]
-    )
+    y0 = np.array([initial_mode_state(k, br, config) for k, br in pairs])
 
     def rhs(t, y):
         return (-1j * np.einsum("mij,mj->mi", h0 + t * h1, y.reshape(-1, 2))).ravel()
@@ -269,7 +260,7 @@ def magnus_reference(config: CentralConfig, step: float) -> np.ndarray:
     pairs = [(k, br) for br in ("+", "-") for k in ks]
     a0 = np.array([branch_hamiltonian(k, 0.0, br, config)[0, 0] for k, br in pairs])
     b = np.array([branch_hamiltonian(k, 0.0, br, config)[0, 1] for k, br in pairs])
-    y = np.array([[st.u, st.v] for st in (initial_mode_state(k, br, config) for k, br in pairs)]).T
+    y = np.array([initial_mode_state(k, br, config) for k, br in pairs]).T
     out, t0 = [], config.t_start
     for t in config.t_grid:
         y = central._magnus(a0, b, -2.0 / config.tau, y, t0, t, math.ceil((t - t0) / step - 1e-9))
@@ -290,14 +281,8 @@ class TestAdiabaticSegment:
     """The adiabatic-frame segment from t_start to the hand-off, and its hand-over to Magnus."""
 
     GRID = TestMagnusPropagator.GRID
-
-    def config(self, **kw):
-        return CentralConfig(**{"n_spins": 20, "delta": 0.05, "tau": 2.0, "a": 0.9,
-                                "t_grid": self.GRID, **kw})
-
-    def decoherence(self, config, **kw):
-        ens = ModeEnsemble(config, **kw)
-        return np.array([ens.advance(t).decoherence_factor() for t in config.t_grid]), ens
+    config = TestMagnusPropagator.config
+    decoherence = TestMagnusPropagator.decoherence
 
     @pytest.mark.parametrize("span", [0.3, 2.0, 17.0])
     def test_filon_terms_exact_for_a_cubic(self, span):
@@ -427,14 +412,13 @@ class TestAdiabaticSegment:
 
 class TestDecoherenceFactor:
     def test_delta_zero_unity(self):
-        assert decoherence_factor(small_config(delta=0.0), 10.0) == pytest.approx(
-            1.0, abs=1e-12
-        )
+        d = ModeEnsemble(small_config(delta=0.0)).advance(10.0).decoherence_factor()
+        assert d == pytest.approx(1.0, abs=1e-12)
 
     def test_before_crossing_near_unity(self):
         # h(t) = 5 is far above the first critical point
         cfg = small_config(n_spins=20, delta=0.01, tau=10.0)
-        d = decoherence_factor(cfg, -40.0)
+        d = ModeEnsemble(cfg).advance(-40.0).decoherence_factor()
         assert d == pytest.approx(1.0, abs=1e-2)
         assert d <= 1.0
 

@@ -18,6 +18,11 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# a small decohere run; a flag given again after it overrides its value
+DECOHERE = ("decohere", "--n-spins", "8", "--delta", "0.01", "--tau", "10", "--a", "0.9",
+            "--t0", "0", "--t1", "1", "--dt", "0.5")
+
+
 def parse_csv(text):
     lines = [ln for ln in text.strip().split("\n") if ln]
     header = lines[0].split(",")
@@ -199,6 +204,12 @@ class TestDecohere:
         assert len(rows) == 3
         assert all(r[2] == 1.0 for r in rows)
 
+    def test_grid_stops_at_t1(self, capsys):
+        # 1 / 0.35 is not an integer: the last time is 0.7, not 1.05
+        code, out, _ = run_cli(capsys, *DECOHERE, "--dt", "0.35")
+        assert code == 0
+        assert [r[0] for r in parse_csv(out)[1]] == [0.0, 0.35, 0.7]
+
     def test_bad_grid(self, capsys):
         code, _, err = run_cli(
             capsys,
@@ -266,6 +277,17 @@ class TestConfigFile:
         code, _, err = run_cli(capsys, "measures", "--config", str(cfg), "--tau", "1")
         assert code == 2
         assert "bogus" in err
+
+    @pytest.mark.parametrize(
+        "argv", [("measures", "--tau", "1"), ("sweep", "--tau-min", "1", "--tau-max", "10")],
+        ids=["measures", "sweep"],
+    )
+    def test_choices_checked_on_file_values(self, tmp_path, capsys, argv):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("protocol = ising\nn = 8\n")
+        code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert "argument --n: invalid choice: 8" in err
 
     def test_output_file(self, tmp_path, capsys):
         out_path = tmp_path / "row.csv"
@@ -335,6 +357,17 @@ class TestExitCodes:
             capsys, "measures", "--protocol", "ising", "--gamma", "1", "--tau", "-3"
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--j3", "inf"), ("--j3", "nan"), ("--delta", "nan"), ("--tau", "inf"), ("--h-start", "nan")],
+    )
+    def test_non_finite_input_is_a_config_error(self, capsys, flag, value):
+        base = ("measures", "--protocol", "three-spin", "--tau", "1") if flag == "--j3" else DECOHERE
+        code, out, err = run_cli(capsys, *base, flag, value)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+        assert "finite" in err and flag[2:].replace("-", "_") in err
 
 
 class TestRuntimeDependencies:

@@ -1,13 +1,19 @@
-"""The benchmark's tracer still finds every program name it wraps.
+"""The benchmark still finds every program name it wraps or reads.
 
 bench/tracing.py replaces the names in its LOOKUPS table with recording
 wrappers and raises if one no longer exists; a renamed `trace_run` or
 `ModeEnsemble.advance` would otherwise only show up as a failed benchmark.
+The rest of bench/ imports program names directly (the gates' oracles
+`concurrence_wootters` and `closed_form_I_n2`, the selftest's `discord`) and
+reads fields of the trace it times; those are checked from the source.
 """
 
+import ast
+import dataclasses
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -31,3 +37,38 @@ def test_every_lookup_point_resolves():
     count, advance, trace = run.stdout.split()
     assert int(count) > 0
     assert (advance, trace) == ("ModeEnsemble.advance", "trace_run")
+
+
+def test_every_bench_import_resolves():
+    # runs each `from spinquench... import ...` of bench/ (a missing name
+    # raises ImportError), then checks each `module.attr` read on a module
+    # bound that way
+    imports = 0
+    for path in sorted((ROOT / "bench").glob("*.py")):
+        nodes = list(ast.walk(ast.parse(path.read_text())))
+        bound = {}
+        for node in nodes:
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("spinquench"):
+                exec(ast.unparse(node), {}, bound)
+                imports += 1
+        modules = {k: v for k, v in bound.items() if isinstance(v, types.ModuleType)}
+        missing = [
+            f"{n.value.id}.{n.attr}" for n in nodes
+            if isinstance(n, ast.Attribute) and getattr(n.value, "id", None) in modules
+            and not hasattr(modules[n.value.id], n.attr)
+        ]
+        assert missing == [], path.name
+    assert imports > 0
+
+
+def test_trace_fields_read_by_the_benchmark_exist():
+    from spinquench.central import DecoherenceTrace
+
+    tree = ast.parse((ROOT / "bench" / "workloads.py").read_text())
+    execute = next(n for n in tree.body if getattr(n, "name", None) == "execute")
+    read = {
+        n.attr for n in ast.walk(execute)
+        if isinstance(n, ast.Attribute) and getattr(n.value, "id", None) == "trace"
+    }
+    assert {"max_step_drift", "renorm_events"} <= read
+    assert read <= {f.name for f in dataclasses.fields(DecoherenceTrace)}

@@ -10,10 +10,15 @@ from hypothesis import strategies as st
 from conftest import (
     assert_matches_oracle,
     basis_value,
+    basis_vectors,
+    conditional_state,
+    correlator_eigenvalues,
+    dense_mutual_information,
     oracle_classical_correlation,
     oracle_discord,
     random_product_state,
     random_x_state,
+    von_neumann_entropy,
 )
 from spinquench import xstate
 from spinquench.kernels import QuenchProtocol
@@ -30,14 +35,11 @@ from spinquench.xstate import (
     concurrence_xstate,
     concurrences,
     conditional_entropy,
-    conditional_state,
     discord,
     discords,
     mutual_information,
     mutual_informations,
     subsystem_entropy,
-    von_neumann_entropy,
-    xstate_eigenvalues,
 )
 
 MAXMIX = CorrelatorSet(0.0, 0.0, 0.0, 0.0)
@@ -87,25 +89,25 @@ class TestBuildXState:
 
 class TestEigenvalues:
     def test_maximally_mixed(self):
-        assert np.allclose(xstate_eigenvalues(MAXMIX), 0.25)
+        assert np.allclose(correlator_eigenvalues(MAXMIX), 0.25)
 
     def test_polarized_half(self):
         # c4 = 1/2, all else zero: (1/4)[1 +- sqrt(4 c4^2)] and (1/4)[1 +- 0]
-        eigs = xstate_eigenvalues(CorrelatorSet(0.0, 0.0, 0.0, 0.5))
+        eigs = correlator_eigenvalues(CorrelatorSet(0.0, 0.0, 0.0, 0.5))
         assert np.allclose(np.sort(eigs), [0.0, 0.25, 0.25, 0.5], atol=1e-15)
 
     def test_random_states_match_dense_solver(self, rng):
         for _ in range(50):
             s = random_x_state(rng)
             dense = np.sort(np.linalg.eigvalsh(s.to_matrix()))
-            assert np.allclose(np.sort(xstate_eigenvalues(s)), dense, atol=1e-12)
+            assert np.allclose(np.sort(s.eigenvalues()), dense, atol=1e-12)
 
     def test_correlator_form_matches_dense_solver(self, rng):
         # quenched-family correlator sets exercise the printed expressions
         for tau in (0.3, 1.0, 4.0):
             c = correlators(QuenchProtocol.ising(1.0, tau), 2)
             dense = np.sort(np.linalg.eigvalsh(build_xstate(c).to_matrix()))
-            assert np.allclose(np.sort(xstate_eigenvalues(c)), dense, atol=1e-12)
+            assert np.allclose(np.sort(correlator_eigenvalues(c)), dense, atol=1e-12)
 
 
 class TestEntropies:
@@ -134,7 +136,7 @@ class TestMutualInformation:
 
     def test_bell_state_two_bits(self):
         assert mutual_information(build_xstate(BELL_PHI)) == pytest.approx(2.0, abs=1e-12)
-        assert mutual_information(_bell_matrix()) == pytest.approx(2.0, abs=1e-12)
+        assert dense_mutual_information(_bell_matrix()) == pytest.approx(2.0, abs=1e-12)
 
 
 class TestConditionalState:
@@ -167,7 +169,7 @@ class TestConditionalState:
             s = random_x_state(rng)
             rho = s.to_matrix()
             basis = MeasurementBasis(rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi))
-            w_plus, w_minus = basis.vectors()
+            w_plus, w_minus = basis_vectors(basis)
             dephased = np.zeros((4, 4), dtype=complex)
             for w in (w_plus, w_minus):
                 proj = np.kron(np.eye(2), np.outer(w, w.conj()))
@@ -219,6 +221,8 @@ class TestClassicalCorrelation:
             classical_correlation(np.eye(4, dtype=complex) / 4.0)
         with pytest.raises(ValueError):
             discord(_bell_matrix())
+        with pytest.raises(ValueError):
+            mutual_information(_bell_matrix())
 
     def test_bell_state_one_bit(self):
         c_val, _ = classical_correlation(build_xstate(BELL_PHI))
@@ -577,10 +581,11 @@ class TestTypesValidation:
             )
 
     def test_matrix_input_validation(self):
-        with pytest.raises(ValueError):
-            mutual_information(np.eye(3) / 3.0)
-        with pytest.raises(ValueError):
-            mutual_information(np.eye(4))  # trace 4
+        for bad in (np.eye(3) / 3.0, np.eye(4)):  # wrong shape, trace 4
+            with pytest.raises(ValueError):
+                mutual_information(bad)
+            with pytest.raises(ValueError):
+                concurrence_wootters(bad)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=50, deadline=None)
