@@ -1,6 +1,6 @@
 """Quantum correlations generated by driving spin chains through critical points.
 
-Modules: `kernels` (excitation probabilities and their cosine moments),
+Modules: `kernels` (cosine moments of the excitation probabilities),
 `xstate` (two-qubit X-state measures), `quench` (final-state correlators and
 closed-form cross-checks), `central` (two central qubits decohered by a driven
 chain), `scaling` (sweeps and power-law fits), `cli` (CSV front end).

@@ -22,7 +22,7 @@ Each step there is exp(Omega_1 + Omega_2), both Magnus terms integrated in
 closed form in Phi (Filon) over a cubic in Phi of g / E, so the step is set
 by how fast g changes, not by the phase.  The segment ends at the first
 observation time, or earlier where the largest g / E of any pair reaches
-COUPLING; from there on every pair is propagated with the fourth-order
+COUPLING; from there on every pair is propagated with the sixth-order
 Magnus step written out in closed form for a Hamiltonian linear in t
 (`_magnus`).
 
@@ -52,7 +52,7 @@ from .xstate import discord  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
-STEP = 0.05  # longest Magnus step
+STEP = 0.1  # longest Magnus step
 LOG_STEP = 0.01  # longest adiabatic step in log(t_ref - t), at the Magnus step STEP
 COUPLING = 0.01  # the adiabatic segment ends where the largest g / E reaches this
 TOL = 1e-6  # bound on the error estimate of D at every observation time
@@ -167,30 +167,39 @@ def mode_momenta(n_spins: int) -> np.ndarray:
 
 def _magnus(a0: np.ndarray, b: np.ndarray, a1: float, y: np.ndarray,
             t0: float, t1: float, n_steps: int) -> np.ndarray:
-    """Fourth-order Magnus propagation of many two-level systems from t0 to t1.
+    """Sixth-order Magnus propagation of many two-level systems from t0 to t1.
 
     Pair j obeys i dy/dt = (a_j(t) sz + b_j sx) y with a_j(t) = a0_j + a1 t;
     y is a (2, M) complex array of (u, v) rows.  Each of the n_steps equal
     steps of length h from t multiplies y by exp(-i c.sigma) with
+    a_m = a(t + h/2), E_m^2 = a_m^2 + b^2 and
 
-        c = (h b, h^3 a1 b / 6, h a(t + h/2)),
+        c = (h b - h^5 a1^2 b / 60, h^3 a1 b / 6 + h^5 a1 b E_m^2 / 90, h a_m).
 
-    the two-Gauss-point Magnus generator (Blanes, Casas, Oteo & Ros,
-    Phys. Rep. 470, 151 (2009)) written out for a Hamiltonian linear in t.
-    Its exponential cos|c| - i sin|c| c.sigma / |c| is unitary to roundoff,
-    so the state is never renormalized.
+    This is the sixth-order generator
+    alpha1 - [alpha1, alpha2] / 12 - [alpha2, [alpha1, alpha2]] / 240
+    + [alpha1, [alpha1, [alpha1, alpha2]]] / 720 (Blanes, Casas & Ros,
+    BIT 40, 434 (2000); Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151
+    (2009)) of the midpoint expansion, alpha3 = 0 for H linear in t; in
+    su(2) the commutators are cross products.  Its exponential
+    cos|c| - i sin|c| c.sigma / |c| is unitary to roundoff, so the state is
+    never renormalized.
     """
     u, v = y
     if n_steps < 1:
         return np.stack([u, v])
     h = (t1 - t0) / n_steps
-    cx = h * b
-    cy = (h**3 * a1 / 6.0) * b
-    cxy2 = cx * cx + cy * cy
+    hb = h * b
+    cx = (1.0 - (h * h * a1) ** 2 / 60.0) * hb
+    cy1 = (h * h * a1 / 90.0) * hb  # cy = cy0 + cy1 cz^2: h^2 E_m^2 = cz^2 + (h b)^2
+    cy0 = (15.0 + hb * hb) * cy1
+    cx2 = cx * cx
     ha0 = h * a0
     for i in range(n_steps):
         cz = ha0 + h * a1 * (t0 + (i + 0.5) * h)
-        norm = np.sqrt(cz * cz + cxy2)
+        cz2 = cz * cz
+        cy = cy0 + cy1 * cz2
+        norm = np.sqrt(cz2 + cx2 + cy * cy)
         s = np.sin(norm) / np.maximum(norm, 1e-300)  # c = 0 wherever |c| = 0
         d = np.cos(norm) - 1j * (s * cz)
         o = -(s * cy) - 1j * (s * cx)
@@ -384,19 +393,23 @@ class ModeEnsemble:
 
     A coarse ensemble follows the fine one from the start, in steps between
     every other adiabatic node and then in half as many Magnus steps of
-    twice the length.  Both segments are fourth-order (the adiabatic one on
-    average over halvings: the error of a Filon step carries the phase at
-    its nodes), so the two decoherence factors differ by about 15 times the
-    error of the fine one, and |D_fine - D_coarse| / 15 estimates the error
-    of D.  LOG_STEP keeps the adiabatic error far below the Magnus one.
-    Errors made before a critical crossing show up in D only after it, so
-    the estimate covers the whole run: when it exceeds `tol` at an
-    observation time, the Magnus step and the adiabatic step are halved and
-    both ensembles are propagated again from t_start.  The Magnus step
-    starts at `step` and the adiabatic one at LOG_STEP * step / STEP;
-    IntegrationError is raised only when a Magnus step below step / 2**10
-    would be needed.  `error_estimate` is the largest estimate at any
-    observation time.  Fixed steps (tol = inf) serve convergence tests.
+    twice the length.  The Magnus segment is sixth-order, so the two
+    decoherence factors differ by about 63 times the error of the fine one,
+    and |D_fine - D_coarse| / 63 estimates the error of D (not where
+    _MAX_ANGLE holds a step: the coarse step then turns a mode by up to pi,
+    outside the asymptotic range, and the estimate can miss either way).
+    The adiabatic segment is still about fourth order (on average over
+    halvings: the error of a Filon step carries the phase at its nodes), so
+    its share of the estimate is weighted at 15/63; LOG_STEP keeps that
+    error below 1e-10, far below the Magnus one.  Errors made before a
+    critical crossing show up in D only after it, so the estimate covers
+    the whole run: when it exceeds `tol` at an observation time, the Magnus
+    step and the adiabatic step are halved and both ensembles are
+    propagated again from t_start.  The Magnus step starts at `step` and
+    the adiabatic one at LOG_STEP * step / STEP; IntegrationError is raised
+    only when a Magnus step below step / 2**10 would be needed.
+    `error_estimate` is the largest estimate at any observation time.
+    Fixed steps (tol = inf) serve convergence tests.
     """
 
     def __init__(self, config: CentralConfig, step: float = STEP, tol: float = TOL):
@@ -454,7 +467,7 @@ class ModeEnsemble:
             err = abs(
                 _overlap_product(_branch_overlaps(fine, self._n_modes))
                 - _overlap_product(_branch_overlaps(coarse, self._n_modes))
-            ) / 15.0
+            ) / 63.0
             if err <= self._tol:
                 break
             if self._step / 2.0 < self._min_step:
@@ -481,24 +494,6 @@ class ModeEnsemble:
 
     def decoherence_factor(self) -> float:
         return _overlap_product(self.mode_overlaps())
-
-
-def weak_coupling_D(t: float, config: CentralConfig) -> float:
-    """Closed-form decoherence factor exp(-8 (sqrt 2 - 1) N delta^2 t^2 / (pi sqrt tau)).
-
-    Valid for delta -> 0 after the first critical crossing (t measured from
-    it).  The adiabatic-mode fidelity prefactor deviates from 1 only at
-    O(N delta^2) and is taken as exactly 1.
-    """
-    expo = (
-        8.0
-        * (math.sqrt(2.0) - 1.0)
-        * config.n_spins
-        * config.delta**2
-        * t**2
-        / (math.pi * math.sqrt(config.tau))
-    )
-    return math.exp(-expo)
 
 
 def qubit_state(a: float, d: float) -> XStateDensityMatrix:

@@ -119,22 +119,6 @@ def _exponent(kind: ProtocolKind, gamma, j3, k):
     return (np.sin(k) - j3 * np.sin(2.0 * k)) ** 2
 
 
-def excitation_probability(protocol: QuenchProtocol, k) -> float | np.ndarray:
-    """Probability that mode k is excited after the sweep.
-
-    Accepts scalar or array k in [0, pi].  Closed forms per protocol:
-    exp(-pi tau gamma^2 sin^2 k) for the Ising sweep,
-    exp(-pi tau (1+cos k)^2 sin^2 k) along the multicritical path, and
-    exp(-pi tau (sin k - J3 sin 2k)^2) for the three-spin chain.
-    """
-    karr = np.asarray(k, dtype=float)
-    if np.any(karr < -1e-12) or np.any(karr > np.pi + 1e-12):
-        raise ValueError("k must lie in [0, pi]")
-    expo = _exponent(protocol.kind, protocol.gamma, protocol.j3, karr)
-    out = np.exp(-np.pi * protocol.tau * expo)
-    return float(out) if np.isscalar(k) else out
-
-
 # p_k cos(n k) is smooth, even and 2 pi-periodic in k for every protocol, so
 # the M-point midpoint rule on [0, pi] converges exponentially and
 # |beta(M) - beta(M/2)| estimates its error.  The narrowest feature is the

@@ -1,6 +1,7 @@
 """Shared fixtures: random state generators, the polar-axis closed form, the
 general measurement-search oracle, the dense 4x4 and single-mode oracles (the
-library measures X states and propagates all modes at once), and the
+library measures X states and propagates all modes at once), the closed-form
+excitation probability and weak-coupling decoherence factor, and the
 acceptance-criterion report."""
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import pytest
 from scipy.optimize import minimize
 
 from spinquench import central
+from spinquench.kernels import ProtocolKind
 from spinquench.xstate import (
     CorrelatorSet,
     MeasurementBasis,
@@ -170,6 +172,33 @@ def evolve_mode(k: float, branch: str, config, t_from: float, t_to: float, y) ->
     n_steps = max(math.ceil((t_to - t_from) / h - 1e-9), 0)
     y = np.asarray(y, dtype=complex)[:, None]
     return central._magnus(a0, b, a1, y, t_from, t_to, n_steps)[:, 0]
+
+
+def excitation_probability(protocol, k):
+    """Probability that mode k in [0, pi] (scalar or array) is excited after the sweep:
+    exp(-pi tau gamma^2 sin^2 k) for the Ising sweep, exp(-pi tau (1+cos k)^2 sin^2 k)
+    along the multicritical path and exp(-pi tau (sin k - J3 sin 2k)^2) for the
+    three-spin chain."""
+    karr = np.asarray(k, dtype=float)
+    if np.any(karr < -1e-12) or np.any(karr > np.pi + 1e-12):
+        raise ValueError("k must lie in [0, pi]")
+    if protocol.kind is ProtocolKind.ISING:
+        expo = protocol.gamma**2 * np.sin(karr) ** 2
+    elif protocol.kind is ProtocolKind.MULTICRITICAL:
+        expo = (1.0 + np.cos(karr)) ** 2 * np.sin(karr) ** 2
+    else:
+        expo = (np.sin(karr) - protocol.j3 * np.sin(2.0 * karr)) ** 2
+    out = np.exp(-np.pi * protocol.tau * expo)
+    return float(out) if np.isscalar(k) else out
+
+
+def weak_coupling_D(t: float, config) -> float:
+    """Closed-form decoherence factor exp(-8 (sqrt 2 - 1) N delta^2 t^2 / (pi sqrt tau)),
+    valid for delta -> 0 after the first critical crossing (t measured from it); the
+    adiabatic-mode fidelity prefactor deviates from 1 only at O(N delta^2) and is
+    taken as exactly 1."""
+    expo = 8.0 * (math.sqrt(2.0) - 1.0) * config.n_spins * config.delta**2 * t**2
+    return math.exp(-expo / (math.pi * math.sqrt(config.tau)))
 
 
 def approx_Fk(k: float, t: float, delta: float, tau: float) -> float:

@@ -30,14 +30,9 @@ from conftest import (
     initial_mode_state,
     random_x_state,
     record_criterion,
-)
-from spinquench.central import (
-    CentralConfig,
-    concurrence_werner,
-    qubit_state,
-    trace_run,
     weak_coupling_D,
 )
+from spinquench.central import CentralConfig, concurrence_werner, qubit_state, trace_run
 from spinquench.cli import main as cli_main
 from spinquench.kernels import QuenchProtocol, beta_n, compute_betas
 from spinquench.quench import closed_form_C_n2, closed_form_I_n2, measures

@@ -235,13 +235,13 @@ class TestDecohere:
         )
         assert code == 0
         assert "magnus" not in out
-        assert "adiabatic: 168 steps to t = -3.40005; magnus: 230 steps, error estimate of D" in err
+        assert "adiabatic: 168 steps to t = -3.40005; magnus: 116 steps, error estimate of D" in err
 
-    # tau = 0.5 with the smallest h_start allowed: the default step misses
+    # tau = 0.25 with the smallest h_start allowed: the default step misses
     # the error tolerance there and the propagator must refine it
     FAST = (
-        "decohere", "--n-spins", "20", "--delta", "0.05", "--tau", "0.5", "--a", "0.9",
-        "--h-start", "15.1422", "--t0", "0", "--t1", "8", "--dt", "2",
+        "decohere", "--n-spins", "20", "--delta", "0.05", "--tau", "0.25", "--a", "0.9",
+        "--h-start", "21", "--t0", "0", "--t1", "8", "--dt", "2",
     )
 
     def test_fast_sweep_refines_the_step(self, capsys):

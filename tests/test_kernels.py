@@ -23,9 +23,9 @@ from spinquench.kernels import (
     beta_n,
     compute_betas,
     defect_density,
-    excitation_probability,
     moment_table,
 )
+from conftest import excitation_probability
 
 
 def riemann_beta(protocol: QuenchProtocol, n: int, points: int = 10**7) -> float:
