@@ -28,12 +28,13 @@ Magnus step written out in closed form for a Hamiltonian linear in t
 
 Both steps are unitary, so the norm defect |<psi|psi> - 1| stays at
 roundoff; it is measured at every observation time and reported as
-max_step_drift.  The step lengths are chosen by the program: no Magnus step
-rotates a mode by more than pi/2, the Magnus step starts at STEP and the
-adiabatic one at LOG_STEP in log time, and both are halved, with the run
-redone, while a step-doubling estimate of the error of D exceeds TOL
-(`ModeEnsemble`).  IntegrationError is raised only if no step down to
-STEP / 2**10 meets it.
+max_step_drift.  No Magnus step rotates a mode by more than pi/2, and
+`ModeEnsemble` marches at one fixed step: Magnus steps up to `step`,
+adiabatic ones up to LOG_STEP * step / STEP in log time.  The step is chosen
+by `trace_run` alone: it starts at STEP and, while a step-doubling estimate
+of the error of D exceeds TOL at an observation time, halves it and marches
+the whole grid again from t_start.  IntegrationError is raised only if no
+step down to STEP / 2**10 meets it.
 """
 
 from __future__ import annotations
@@ -132,7 +133,8 @@ class DecoherenceTrace:
 
     Propagator diagnostics: the number of adiabatic steps and the time
     `handoff` where they end (t_start when there are none), the number of
-    Magnus steps after it, the largest step-doubling error estimate of D,
+    Magnus steps after it and `step`, the Magnus step the run ended on (no
+    step is longer), the largest step-doubling error estimate of D,
     and max_step_drift, the largest norm defect |<psi|psi> - 1| of any
     (mode, branch) state at any observation time.  renorm_events is always
     0: no state is renormalized.
@@ -146,6 +148,7 @@ class DecoherenceTrace:
     renorm_events: int = 0
     max_step_drift: float = 0.0
     steps: int = 0
+    step: float = STEP
     error_estimate: float = 0.0
     adiabatic_steps: int = 0
     handoff: float = math.nan
@@ -381,15 +384,17 @@ def _overlap_product(f: np.ndarray) -> float:
 
 
 class ModeEnsemble:
-    """Both branches of every momentum mode, marched forward together.
+    """Both branches of every momentum mode, marched forward together at one step.
 
     The first advance from t_start carries every pair in the adiabatic
     frame (`_adiabatic`) up to the hand-off: the first observation time
     (or the time asked for, if earlier) or, if earlier still, the time where
     the largest g / E of any pair reaches COUPLING (`_handoff`).  `handoff`
     is the time that segment ended (t_start when there was none) and
-    `adiabatic_steps` its number of steps.  After it the modes advance in
-    equal Magnus steps no longer than the current step; `steps` counts them.
+    `adiabatic_steps` its number of steps, equal in log time and no longer
+    than LOG_STEP * step / STEP.  After it the modes advance in equal Magnus
+    steps no longer than `step`; `steps` counts them.  The step never
+    changes: `trace_run` refines it by starting a new ensemble.
 
     A coarse ensemble follows the fine one from the start, in steps between
     every other adiabatic node and then in half as many Magnus steps of
@@ -403,21 +408,15 @@ class ModeEnsemble:
     its share of the estimate is weighted at 15/63; LOG_STEP keeps that
     error below 1e-10, far below the Magnus one.  Errors made before a
     critical crossing show up in D only after it, so the estimate covers
-    the whole run: when it exceeds `tol` at an observation time, the Magnus
-    step and the adiabatic step are halved and both ensembles are
-    propagated again from t_start.  The Magnus step starts at `step` and
-    the adiabatic one at LOG_STEP * step / STEP; IntegrationError is raised
-    only when a Magnus step below step / 2**10 would be needed.
-    `error_estimate` is the largest estimate at any observation time.
-    Fixed steps (tol = inf) serve convergence tests.
+    the whole run.  `error_estimate` is the largest estimate at any time
+    advanced to.
     """
 
-    def __init__(self, config: CentralConfig, step: float = STEP, tol: float = TOL):
-        if not (step > 0.0 and tol > 0.0):
-            raise ValueError(f"step and tol must be > 0, got {step}, {tol}")
+    def __init__(self, config: CentralConfig, step: float = STEP):
+        if not step > 0.0:
+            raise ValueError(f"step must be > 0, got {step}")
         self.config = config
-        self._min_step = step / 2**_MAX_HALVINGS
-        self._tol = tol
+        self.step = step
         k = mode_momenta(config.n_spins)
         self._n_modes = len(k)
         cos_k = np.concatenate([np.cos(k), np.cos(k)])
@@ -431,58 +430,32 @@ class ModeEnsemble:
         a = self._a0 + self._a1 * config.t_start
         e = np.hypot(a, self._b)
         y = np.stack([self._b, -(a + e)]).astype(complex)
-        self._y0 = y / np.sqrt(np.abs(y[0]) ** 2 + np.abs(y[1]) ** 2)
-        self._adiabatic_end = _handoff(
-            self._a0, self._b, self._a1, config.t_start, config.t_grid[0]
-        )
+        self._fine = self._coarse = y / np.sqrt(np.abs(y[0]) ** 2 + np.abs(y[1]) ** 2)
+        self.t = self.handoff = config.t_start
+        self.steps = self.adiabatic_steps = 0
         self.error_estimate = 0.0
         self.max_step_drift = 0.0
-        self._restart(step)
-
-    def _restart(self, step: float):
-        self._step = step
-        self._fine = self._coarse = self._y0
-        self.t = self.handoff = self.config.t_start
-        self.steps = self.adiabatic_steps = 0
-
-    def _pairs(self, t0: float, t: float) -> int:
-        h = _step_length(self._a0, self._b, self._a1, t0, t, self._step)
-        return max(math.ceil((t - t0) / (2.0 * h) - 1e-9), 0)
 
     def advance(self, t: float) -> "ModeEnsemble":
         if t < self.t - 1e-12:
             raise ValueError(f"cannot integrate backwards: {t} < {self.t}")
-        while True:
-            t0, fine, coarse, adiabatic_steps = self.t, self._fine, self._coarse, 0
-            end = min(t, self._adiabatic_end)
-            if t0 == self.config.t_start and end > t0:
-                nodes = _adiabatic_nodes(
-                    self._a0, self._b, self._a1, t0, end, self._step * (LOG_STEP / STEP)
-                )
-                fine, coarse = _adiabatic(self._a0, self._b, self._a1, nodes)
-                t0, adiabatic_steps = end, len(nodes) - 1
-            pairs = self._pairs(t0, t)
-            fine = _magnus(self._a0, self._b, self._a1, fine, t0, t, 2 * pairs)
-            coarse = _magnus(self._a0, self._b, self._a1, coarse, t0, t, pairs)
-            err = abs(
-                _overlap_product(_branch_overlaps(fine, self._n_modes))
-                - _overlap_product(_branch_overlaps(coarse, self._n_modes))
-            ) / 63.0
-            if err <= self._tol:
-                break
-            if self._step / 2.0 < self._min_step:
-                raise IntegrationError(
-                    f"error estimate {err:.2e} of D exceeds tol = {self._tol:g} "
-                    f"at the smallest step {self._step:.2e}",
-                    t,
-                )
-            logger.debug("error estimate %.2e of D at t = %g: step %g halved", err, t, self._step)
-            self._restart(self._step / 2.0)
-        if adiabatic_steps:
-            self.handoff, self.adiabatic_steps = t0, adiabatic_steps
-        self._fine, self._coarse = fine, coarse
+        t0, a0, b, a1 = self.t, self._a0, self._b, self._a1
+        if t0 == self.config.t_start:
+            end = min(t, _handoff(a0, b, a1, t0, self.config.t_grid[0]))
+            if end > t0:
+                nodes = _adiabatic_nodes(a0, b, a1, t0, end, self.step * (LOG_STEP / STEP))
+                self._fine, self._coarse = _adiabatic(a0, b, a1, nodes)
+                self.handoff, self.adiabatic_steps, t0 = end, len(nodes) - 1, end
+        h = _step_length(a0, b, a1, t0, t, self.step)
+        pairs = max(math.ceil((t - t0) / (2.0 * h) - 1e-9), 0)
+        self._fine = fine = _magnus(a0, b, a1, self._fine, t0, t, 2 * pairs)
+        self._coarse = _magnus(a0, b, a1, self._coarse, t0, t, pairs)
         self.t = t
         self.steps += 2 * pairs
+        err = abs(
+            self.decoherence_factor()
+            - _overlap_product(_branch_overlaps(self._coarse, self._n_modes))
+        ) / 63.0
         self.error_estimate = max(self.error_estimate, err)
         drift = float(np.max(np.abs(np.abs(fine[0]) ** 2 + np.abs(fine[1]) ** 2 - 1.0)))
         self.max_step_drift = max(self.max_step_drift, drift)
@@ -524,19 +497,38 @@ def concurrence_werner(a: float, d: float) -> float:
 def trace_run(config: CentralConfig) -> DecoherenceTrace:
     """March the environment over config.t_grid and record (D, Q, C_nc) rows.
 
-    All modes advance incrementally (never re-integrated from the start) and
-    D is recorded at every observation time first.  The discord of the
-    reduced qubit states, X states, then comes from one `xstate.discords`
-    call over all of them.
+    A `ModeEnsemble` at the Magnus step STEP advances from one observation
+    time to the next and D is recorded at each.  At the first time whose
+    error estimate exceeds TOL the step is halved and a new ensemble marches
+    the whole grid again from t_start, so every D comes from the one step
+    the run ends on (`step` of the trace); IntegrationError is raised when
+    a step below STEP / 2**_MAX_HALVINGS would be needed.  The discord of
+    the reduced qubit states, X states, then comes from one
+    `xstate.discords` call over all of them.
     """
-    ens = ModeEnsemble(config)
-    ds = []
-    for t in config.t_grid:
-        ens.advance(t)
-        ds.append(ens.decoherence_factor())
+    step = STEP
+    while True:
+        ens, ds = ModeEnsemble(config, step), []
+        for t in config.t_grid:
+            if ens.advance(t).error_estimate > TOL:
+                break
+            ds.append(ens.decoherence_factor())
+        else:
+            break
+        if step / 2.0 < STEP / 2**_MAX_HALVINGS:
+            raise IntegrationError(
+                f"error estimate {ens.error_estimate:.2e} of D exceeds TOL = {TOL:g} "
+                f"at the smallest step {step:.2e}",
+                t,
+            )
+        logger.debug(
+            "error estimate %.2e of D at t = %g: step %g halved", ens.error_estimate, t, step
+        )
+        step /= 2.0
     logger.debug(
-        "%d adiabatic steps to t = %g, %d Magnus steps: error estimate of D %.2e, norm defect %.2e",
-        ens.adiabatic_steps, ens.handoff, ens.steps, ens.error_estimate, ens.max_step_drift,
+        "%d adiabatic steps to t = %g, %d Magnus steps of at most %g: "
+        "error estimate of D %.2e, norm defect %.2e",
+        ens.adiabatic_steps, ens.handoff, ens.steps, step, ens.error_estimate, ens.max_step_drift,
     )
     return DecoherenceTrace(
         t=np.array(config.t_grid, dtype=float),
@@ -546,6 +538,7 @@ def trace_run(config: CentralConfig) -> DecoherenceTrace:
         concurrence=np.array([concurrence_werner(config.a, d) for d in ds]),
         max_step_drift=ens.max_step_drift,
         steps=ens.steps,
+        step=step,
         error_estimate=ens.error_estimate,
         adiabatic_steps=ens.adiabatic_steps,
         handoff=ens.handoff,

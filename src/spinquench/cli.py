@@ -152,7 +152,7 @@ def cmd_decohere(cfg: RunConfig) -> int:
     _write_csv(cfg.output_path, ["t", "h", "D", "Q", "Cnc"], rows)
     print(
         f"adiabatic: {trace.adiabatic_steps} steps to t = {trace.handoff:g}; "
-        f"magnus: {trace.steps} steps, "
+        f"magnus: {trace.steps} steps of at most {trace.step:g}, "
         f"error estimate of D {trace.error_estimate:.2e}, "
         f"max norm defect {trace.max_step_drift:.2e}",
         file=sys.stderr,

@@ -125,13 +125,6 @@ class TestEvolveMode:
             exact = expm(-1j * h * 5.0) @ st0
             assert np.abs(st1 - exact).max() < 1e-8
 
-    def test_delta_zero_branch_overlap_stays_one(self):
-        cfg = small_config(delta=0.0, t_grid=(0.0, 5.0, 15.0, 25.0))
-        ens = ModeEnsemble(cfg)
-        for t in cfg.t_grid:
-            ens.advance(t)
-            assert ens.decoherence_factor() == pytest.approx(1.0, abs=1e-12)
-
     def test_landau_zener_asymptotics(self):
         # the factor-2 Hamiltonian doubles the effective sweep exponent, so
         # the oracle is the closed-form probability at 2 tau; excitation is
@@ -188,8 +181,9 @@ class TestMagnusPropagator:
         return CentralConfig(**{"n_spins": 20, "delta": 0.05, "tau": 2.0, "a": 0.9,
                                 "t_grid": self.GRID, **kw})
 
-    def decoherence(self, config, **kw):
-        ens = ModeEnsemble(config, **kw)
+    def decoherence(self, config, step=central.STEP):
+        """D at every observation time from one ensemble at a fixed step, and the ensemble."""
+        ens = ModeEnsemble(config, step)
         return np.array([ens.advance(t).decoherence_factor() for t in config.t_grid]), ens
 
     def test_matches_dop853_through_both_critical_points(self):
@@ -207,7 +201,7 @@ class TestMagnusPropagator:
 
     def test_step_halving_sixth_order(self):
         d = [
-            self.decoherence(self.config(), step=h, tol=math.inf)[0]
+            self.decoherence(self.config(), step=h)[0]
             for h in (0.05, 0.025, 0.0125)
         ]
         ratio = np.abs(d[0] - d[1]).max() / np.abs(d[1] - d[2]).max()
@@ -253,13 +247,29 @@ class TestMagnusPropagator:
         )
         oracle = dop853_decoherence(cfg)
         assert oracle.min() < 0.5
-        fixed, coarse = self.decoherence(cfg, tol=math.inf)
+        _, coarse = self.decoherence(cfg)
         assert coarse.error_estimate > central.TOL
-        d, ens = self.decoherence(cfg)
-        assert ens.adiabatic_steps == 0
-        assert ens.steps > coarse.steps
-        assert ens.error_estimate <= central.TOL
-        assert np.abs(d - oracle).max() <= ens.error_estimate
+        tr = trace_run(cfg)
+        assert tr.adiabatic_steps == 0
+        assert tr.step < central.STEP and tr.steps > coarse.steps
+        assert tr.error_estimate <= central.TOL
+        assert np.abs(tr.decoherence - oracle).max() <= tr.error_estimate
+
+    def test_halving_rerecords_every_observation(self):
+        # the default step meets TOL at t = 0 and misses it at t = 2; D(0)
+        # must come from the halved step too, not stay at the rejected one
+        # (which was off by 1.5e-6 against the oracle)
+        cfg = self.config(tau=0.01, delta=1.0, h_start=101.0, t_grid=(0.0, 2.0))
+        tr = trace_run(cfg)
+        assert tr.step < central.STEP
+        assert np.abs(tr.decoherence - dop853_decoherence(cfg)).max() <= central.TOL
+
+    def test_delta_zero_branch_overlap_stays_one(self):
+        cfg = small_config(delta=0.0, t_grid=(0.0, 5.0, 15.0, 25.0))
+        ens = ModeEnsemble(cfg)
+        for t in cfg.t_grid:
+            ens.advance(t)
+            assert ens.decoherence_factor() == pytest.approx(1.0, abs=1e-12)
 
     def test_backwards_integration_rejected(self):
         ens = ModeEnsemble(small_config()).advance(5.0)
@@ -356,20 +366,20 @@ class TestAdiabaticSegment:
         cfg = self.config(**overrides)
         oracle = dop853_decoherence(cfg)
         assert oracle.min() < 0.5
-        d, ens = self.decoherence(cfg)
-        assert ens.adiabatic_steps > 0 and ens.handoff > cfg.t_start
-        assert np.abs(d - oracle).max() <= ens.error_estimate <= central.TOL
+        tr = trace_run(cfg)
+        assert tr.adiabatic_steps > 0 and tr.handoff > cfg.t_start
+        assert np.abs(tr.decoherence - oracle).max() <= tr.error_estimate <= central.TOL
 
     def test_fast_sweep_refines_both_segments(self):
         # at tau = 0.25 the default step misses TOL: both segments are refined
         cfg = self.config(tau=0.25, h_start=1.0 + 10.0 / math.sqrt(0.25) + 1e-9,
                           t_grid=self.GRID[1:])
-        _, fixed = self.decoherence(cfg, tol=math.inf)
+        _, fixed = self.decoherence(cfg)
         assert fixed.error_estimate > central.TOL
-        _, ens = self.decoherence(cfg)
-        assert ens.handoff == fixed.handoff
-        assert ens.adiabatic_steps >= 2 * fixed.adiabatic_steps - 2
-        assert ens.steps > fixed.steps
+        tr = trace_run(cfg)
+        assert tr.handoff == fixed.handoff
+        assert tr.adiabatic_steps >= 2 * fixed.adiabatic_steps - 2
+        assert tr.steps > fixed.steps
 
     def test_observation_at_t_start_is_the_magnus_path(self):
         self.assert_magnus_path(self.config(t_grid=(self.config().t_start,) + self.GRID))
@@ -381,21 +391,18 @@ class TestAdiabaticSegment:
 
     def assert_magnus_path(self, cfg):
         # with every step on the Magnus path the estimate at STEP is 1.35e-6
-        # at t = 4, so a run from STEP halves the step there and keeps the D
-        # it recorded earlier at STEP; the run compared starts halved
-        step = central.STEP / 2.0
-        assert self.decoherence(cfg)[1]._step == step
-        d, ens = self.decoherence(cfg, step=step)
-        assert ens.adiabatic_steps == 0 and ens.handoff == cfg.t_start
-        assert ens._step == step and ens.error_estimate <= central.TOL
-        assert d.tobytes() == self.magnus_path(cfg, step).tobytes()
+        # at t = 4, so the run halves the step once and marches it again
+        tr = trace_run(cfg)
+        assert tr.adiabatic_steps == 0 and tr.handoff == cfg.t_start
+        assert tr.step == central.STEP / 2.0 and tr.error_estimate <= central.TOL
+        assert tr.decoherence.tobytes() == self.magnus_path(cfg, tr.step).tobytes()
 
     @staticmethod
     def magnus_path(cfg, step: float) -> np.ndarray:
         """D from `central._magnus` marched as ModeEnsemble marches it at `step` with no
         adiabatic segment."""
         ens = ModeEnsemble(cfg)
-        y, t0, out = ens._y0, cfg.t_start, []
+        y, t0, out = ens._fine, cfg.t_start, []
         for t in cfg.t_grid:
             h = central._step_length(ens._a0, ens._b, ens._a1, t0, t, step)
             pairs = max(math.ceil((t - t0) / (2.0 * h) - 1e-9), 0)
@@ -413,7 +420,7 @@ class TestAdiabaticSegment:
         d = []
         for log_step in (0.08, 0.04, 0.02, 0.01, 0.005):
             monkeypatch.setattr(central, "LOG_STEP", log_step)
-            d.append(self.decoherence(self.config(), tol=math.inf)[0])
+            d.append(self.decoherence(self.config())[0])
         diffs = [np.abs(a - b).max() for a, b in zip(d, d[1:])]
         order = math.log2(diffs[0] / diffs[-1]) / (len(diffs) - 1)
         assert 3.5 <= order <= 5.5

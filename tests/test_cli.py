@@ -235,7 +235,10 @@ class TestDecohere:
         )
         assert code == 0
         assert "magnus" not in out
-        assert "adiabatic: 168 steps to t = -3.40005; magnus: 116 steps, error estimate of D" in err
+        assert (
+            "adiabatic: 168 steps to t = -3.40005; magnus: 116 steps of at most 0.1, "
+            "error estimate of D"
+        ) in err
 
     # tau = 0.25 with the smallest h_start allowed: the default step misses
     # the error tolerance there and the propagator must refine it

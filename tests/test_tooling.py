@@ -2,7 +2,9 @@
 
 bench/tracing.py replaces the names in its LOOKUPS table with recording
 wrappers and raises if one no longer exists; a renamed `trace_run` or
-`ModeEnsemble.advance` would otherwise only show up as a failed benchmark.
+`ModeEnsemble.advance` would otherwise only show up as a failed benchmark,
+and so would an `advance` that stops keeping `ens.t`, from which the tracer
+reads the simulated time.
 The rest of bench/ imports program names directly (the gates' oracles
 `concurrence_wootters` and `closed_form_I_n2`, the selftest's `discord`) and
 reads fields of the trace it times; those are checked from the source.
@@ -21,22 +23,35 @@ ROOT = Path(__file__).resolve().parents[1]
 PROBE = """
 import tracing
 from spinquench import central
-tracing.install(tracing.Recorder())
+recorder = tracing.Recorder()
+tracing.install(recorder)
 print(len(tracing.LOOKUPS))
 print(central.ModeEnsemble.advance.__wrapped__.__qualname__)
 print(central.trace_run.__wrapped__.__qualname__)
+config = central.CentralConfig(
+    n_spins=20, delta=0.05, tau=2.0, a=0.9, t_grid=(-2.0, 0.0, 2.0, 4.0)
+)
+central.trace_run(config)
+layer = tracing.summarize(recorder.spans, recorder.counts)
+print(layer["advance_calls"], len(config.t_grid))
+print(repr(layer["sim_time"]), repr(config.t_grid[-1] - config.t_start))
 """
 
 
 def test_every_lookup_point_resolves():
+    # the traced trace meets TOL at the first step, so it advances once per
+    # observation time, and the tracer's sim_time (ens.t after a call minus
+    # ens.t before it) adds up to the span from t_start to the last time
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "bench"), str(ROOT / "src")]))
     run = subprocess.run(
         [sys.executable, "-c", PROBE], env=env, capture_output=True, text=True, timeout=120
     )
     assert run.returncode == 0, run.stderr
-    count, advance, trace = run.stdout.split()
+    count, advance, trace, calls, times, sim_time, span = run.stdout.split()
     assert int(count) > 0
     assert (advance, trace) == ("ModeEnsemble.advance", "trace_run")
+    assert calls == times == "4"
+    assert float(sim_time) == float(span) == 22.0
 
 
 def test_every_bench_import_resolves():
