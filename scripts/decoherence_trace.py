@@ -15,8 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from spinquench import CentralConfig, trace_run
-from spinquench.central import concurrence_werner, qubit_state
-from spinquench.xstate import discords
+from spinquench.central import qubit_state
+from spinquench.xstate import correlations
 
 
 def main():
@@ -54,8 +54,8 @@ def main():
         if a == args.a[0]:
             q, cnc = trace.discord, trace.concurrence
         else:
-            q = discords([qubit_state(a, d) for d in trace.decoherence])
-            cnc = np.array([concurrence_werner(a, d) for d in trace.decoherence])
+            measured = correlations([qubit_state(a, d) for d in trace.decoherence])
+            q, cnc = measured["Q"], measured["Cnc"]
         out = args.outdir / f"decoherence_delta{args.delta:g}_a{a:g}.csv"
         data = np.column_stack([trace.t, trace.h, trace.decoherence, q, cnc])
         np.savetxt(out, data, delimiter=",", header="t,h,D,Q,Cnc", comments="")

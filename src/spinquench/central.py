@@ -11,7 +11,8 @@ momentum mode is a driven two-level problem
 with h(t) = 1 - t/tau, so the first critical point h = 1 is crossed at t = 0.
 The decoherence factor D(t) is the squared overlap of the two branch wave
 functions, a product over modes accumulated in log space.  The qubits start in
-a Werner state; their reduced state depends on time only through D(t).
+a Werner state; their reduced state, an X state, depends on time only
+through D(t), and its discord and concurrence come from `xstate.correlations`.
 
 Each (mode, branch) pair obeys i dy/dt = (a(t) sz + b sx) y with a(t) linear
 in t.  From t_start every pair is carried in its adiabatic frame
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .xstate import XStateDensityMatrix, discords
+from .xstate import XStateDensityMatrix, correlations
 
 # trace_run no longer calls discord; it stays importable here because the
 # benchmark's tracer wraps it at this module (LOOKUPS in bench/tracing.py).
@@ -405,11 +406,13 @@ class ModeEnsemble:
     outside the asymptotic range, and the estimate can miss either way).
     The adiabatic segment is still about fourth order (on average over
     halvings: the error of a Filon step carries the phase at its nodes), so
-    its share of the estimate is weighted at 15/63; LOG_STEP keeps that
-    error below 1e-10, far below the Magnus one.  Errors made before a
-    critical crossing show up in D only after it, so the estimate covers
-    the whole run.  `error_estimate` is the largest estimate at any time
-    advanced to.
+    its share enters the estimate at 15/63, and the estimate can miss it.
+    At LOG_STEP that error was below 1e-10 at N=20 (five configurations)
+    and on two N=500 traces, `decohere-revival` one of them, but at N=500,
+    tau = 2500, delta = 1e-3 it is 1.1e-10 against an estimate of 1.0e-12
+    (ROADMAP item 3).  Errors made before a critical crossing show up in D
+    only after it, so the estimate covers the whole run.  `error_estimate`
+    is the largest estimate at any time advanced to.
     """
 
     def __init__(self, config: CentralConfig, step: float = STEP):
@@ -485,15 +488,6 @@ def qubit_state(a: float, d: float) -> XStateDensityMatrix:
     )
 
 
-def concurrence_werner(a: float, d: float) -> float:
-    """Concurrence max[a (sqrt d + 1/2) - 1/2, 0] of the decohered Werner state."""
-    if not (0.0 <= a <= 1.0):
-        raise ValueError(f"a must be in [0, 1], got {a}")
-    if not (0.0 <= d <= 1.0):
-        raise ValueError(f"decoherence factor must be in [0, 1], got {d}")
-    return max(a * (math.sqrt(d) + 0.5) - 0.5, 0.0)
-
-
 def trace_run(config: CentralConfig) -> DecoherenceTrace:
     """March the environment over config.t_grid and record (D, Q, C_nc) rows.
 
@@ -502,9 +496,9 @@ def trace_run(config: CentralConfig) -> DecoherenceTrace:
     error estimate exceeds TOL the step is halved and a new ensemble marches
     the whole grid again from t_start, so every D comes from the one step
     the run ends on (`step` of the trace); IntegrationError is raised when
-    a step below STEP / 2**_MAX_HALVINGS would be needed.  The discord of
-    the reduced qubit states, X states, then comes from one
-    `xstate.discords` call over all of them.
+    a step below STEP / 2**_MAX_HALVINGS would be needed.  The discord and
+    concurrence of the reduced qubit states, X states, then come from one
+    `xstate.correlations` call over all of them.
     """
     step = STEP
     while True:
@@ -530,12 +524,13 @@ def trace_run(config: CentralConfig) -> DecoherenceTrace:
         "error estimate of D %.2e, norm defect %.2e",
         ens.adiabatic_steps, ens.handoff, ens.steps, step, ens.error_estimate, ens.max_step_drift,
     )
+    measured = correlations([qubit_state(config.a, d) for d in ds])
     return DecoherenceTrace(
         t=np.array(config.t_grid, dtype=float),
         h=np.array([config.h_of_t(t) for t in config.t_grid]),
         decoherence=np.array(ds),
-        discord=discords([qubit_state(config.a, d) for d in ds]),
-        concurrence=np.array([concurrence_werner(config.a, d) for d in ds]),
+        discord=measured["Q"],
+        concurrence=measured["Cnc"],
         max_step_drift=ens.max_step_drift,
         steps=ens.steps,
         step=step,

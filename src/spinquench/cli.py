@@ -17,8 +17,7 @@ import numpy as np
 
 from . import central, scaling
 from .kernels import QuadratureError, QuenchProtocol, compute_betas
-from .quench import correlators_from_betas, measure_state
-from .xstate import build_xstate
+from .quench import measure_state, state_from_betas
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -86,7 +85,7 @@ def _log_grid(lo: float, hi: float, points: int) -> list[float]:
 
 def cmd_measures(cfg: RunConfig) -> int:
     betas = compute_betas(cfg.protocol, n_max=6)  # printed, and enough for every n
-    rep = measure_state(build_xstate(correlators_from_betas(betas, cfg.n)))
+    rep = measure_state(state_from_betas(betas, cfg.n))
     row = [
         cfg.protocol.tau,
         cfg.n,

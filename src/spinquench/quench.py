@@ -3,7 +3,8 @@
 The correlators at separation n are polynomials in the moments beta_0 .. beta_n
 (closed expressions exist for n = 2, 4, 6).  `measures` runs the full pipeline
 moments -> correlators -> X state (`state_from_betas`) -> {mutual information,
-classical correlation, discord, concurrence} (`measure_state`).
+classical correlation, discord, concurrence} (`measure_state`, a batch of one
+of `xstate.correlations`, which the sweeps call on all their rows at once).
 
 `closed_form_I_n2` / `closed_form_C_n2` evaluate the printed n = 2 expressions
 verbatim as an independent cross-check of the pipeline.  Note: the closed-form
@@ -26,10 +27,12 @@ from .xstate import (
     MeasurementBasis,
     XStateDensityMatrix,
     build_xstate,
-    classical_correlation,
-    concurrence_xstate,
-    mutual_information,
+    correlations,
 )
+
+# `measure_state` calls none of these; they stay importable here because the
+# benchmark's tracer wraps them at this module (LOOKUPS in bench/tracing.py).
+from .xstate import classical_correlation, concurrence_xstate, mutual_information  # noqa: F401
 
 _SEPARATIONS = (2, 4, 6)
 
@@ -78,28 +81,16 @@ def state_from_betas(betas: BetaSet, n: int) -> XStateDensityMatrix:
     return build_xstate(correlators_from_betas(betas, n))
 
 
-def correlation_report(
-    i_val: float, c_val: float, basis: MeasurementBasis, cnc: float
-) -> CorrelationReport:
-    """Report of one X state from its mutual information, its maximized
-    classical correlation and its concurrence, clamped so that C <= I and
-    Q >= 0.  A NaN mutual information (a state with a negative eigenvalue,
-    see `mutual_informations`) raises `ValueError`."""
-    if math.isnan(i_val):
+def measure_state(state: XStateDensityMatrix) -> CorrelationReport:
+    """Full correlation report of one X state: a batch of one of
+    `xstate.correlations`.  A state with a negative eigenvalue raises
+    `ValueError`."""
+    v = {k: float(a[0]) for k, a in correlations([state]).items()}
+    if math.isnan(v["I"]):
         raise ValueError("mutual information undefined: the state has a negative eigenvalue")
     return CorrelationReport(
-        mutual_information=i_val,
-        classical_correlation=min(c_val, i_val),
-        discord=max(i_val - c_val, 0.0),
-        concurrence=cnc,
-        argmax_basis=basis,
-    )
-
-
-def measure_state(state: XStateDensityMatrix) -> CorrelationReport:
-    """Full correlation report of one X state."""
-    return correlation_report(
-        mutual_information(state), *classical_correlation(state), concurrence_xstate(state)
+        mutual_information=v["I"], classical_correlation=v["C"], discord=v["Q"],
+        concurrence=v["Cnc"], argmax_basis=MeasurementBasis(v["theta"], v["phi"]),
     )
 
 

@@ -4,9 +4,9 @@
 `sweep_j3` scans the three-spin coupling at fixed rate.  `fit_loglog`
 extracts d(ln y)/d(ln x) by ordinary least squares.  The moments of all
 rows come from one kernel call (`moment_table`); each row's X state is
-built from them in grid order; the mutual information, concurrence and
-measurement search then run once over all of the sweep's states.  A row
-that fails holds NaNs and is listed in the table's errors.
+built from them in grid order; `xstate.correlations` then measures all of
+the sweep's states in one call.  A row that fails holds NaNs and is listed
+in the table's errors.
 """
 
 from __future__ import annotations
@@ -17,14 +17,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .kernels import BetaSet, ProtocolKind, QuenchProtocol, moment_table
-from .quench import correlation_report, state_from_betas
-from .xstate import (
-    MeasurementBasis,
-    classical_correlations,
-    concurrences,
-    mutual_informations,
-)
+from .kernels import ProtocolKind, QuenchProtocol, moment_table
+from .quench import state_from_betas
+from .xstate import correlations
 
 # The sweeps call neither name; both stay importable here because the
 # benchmark's tracer wraps them at this module (LOOKUPS in bench/tracing.py).
@@ -80,57 +75,37 @@ class ScalingFit:
             raise ValueError(f"r_squared = {self.r_squared} outside [0, 1]")
 
 
-def _tau_lead(protocol: QuenchProtocol, n: int, betas: BetaSet) -> tuple:
-    return (protocol.tau, float(n), betas[0])
-
-
-def _j3_lead(protocol: QuenchProtocol, n: int, betas: BetaSet) -> tuple:
-    return (protocol.j3,)
-
-
-_REPORT_FIELDS = {
-    "I": "mutual_information",
-    "C": "classical_correlation",
-    "Q": "discord",
-    "Cnc": "concurrence",
-}
-
-
-def _run_rows(columns, lead, grid, protocols, n) -> SweepTable:
+def _run_rows(columns, grid, protocols, n) -> SweepTable:
     """Take every row's moments in one kernel call, build each row's X state,
     then measure all of the states at once.
 
     Each row's moments are checked and its state built row by row
     (`state_from_betas`), so a row whose moments missed the kernel's
     tolerance, or whose state fails, holds NaNs and is listed in the errors
-    while the others go on.  `lead` gives a row's leading columns.  The
-    mutual information, concurrence and measurement search then run once over
-    the states that were built, and each row's report is checked on its own.
+    while the others go on.  `xstate.correlations` then measures the built
+    states in one call; a state it marks failed (NaN I) fails its row alone.
+    Its result fills the value columns by name; n and beta0 come from the moments.
     """
     data = np.full((len(grid), len(columns)), np.nan)
     data[:, 0] = grid
     errors = []
     moments = moment_table(protocols, range(0, n + 1, 2))
-    built = []  # (row index, leading columns, state)
-    for i, protocol in enumerate(protocols):
+    rows, states, beta0 = [], [], []
+    for i in range(len(protocols)):
         try:
             betas = moments.betas(i, n)
-            built.append((i, lead(protocol, n, betas), state_from_betas(betas, n)))
+            states.append(state_from_betas(betas, n))
+            rows.append(i)
+            beta0.append(betas[0])
         except Exception as exc:  # noqa: BLE001 - row failures are data
             errors.append((i, str(exc)))
-    states = [b[2] for b in built]
-    i_vals, cncs = mutual_informations(states), concurrences(states)
-    c_vals, thetas, phis = classical_correlations(states)
-    for (i, lead_vals, _), i_val, cnc, c_val, theta, phi in zip(
-        built, i_vals, cncs, c_vals, thetas, phis
-    ):
-        try:
-            basis = MeasurementBasis(theta, phi)
-            rep = correlation_report(float(i_val), float(c_val), basis, float(cnc))
-            fields = (getattr(rep, _REPORT_FIELDS[c]) for c in columns[len(lead_vals):])
-            data[i] = (*lead_vals, *fields)
-        except Exception as exc:  # noqa: BLE001 - row failures are data
-            errors.append((i, str(exc)))
+    values = correlations(states) | {"n": np.full(len(rows), float(n)), "beta0": np.array(beta0)}
+    ok = ~np.isnan(values["I"])
+    rows = np.array(rows, dtype=int)
+    for col, name in enumerate(columns[1:], start=1):
+        data[rows[ok], col] = values[name][ok]
+    errors += [(int(i), "mutual information undefined: the state has a negative eigenvalue")
+               for i in rows[~ok]]
     return SweepTable(columns=columns, data=data, errors=tuple(sorted(errors)))
 
 
@@ -140,7 +115,7 @@ def sweep_tau(protocol: QuenchProtocol, n: int, tau_grid: Sequence[float]) -> Sw
     if any(t <= 0.0 for t in grid) or any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("tau_grid must be positive and strictly increasing")
     protocols = [dataclasses.replace(protocol, tau=t) for t in grid]
-    return _run_rows(TAU_COLUMNS, _tau_lead, grid, protocols, n)
+    return _run_rows(TAU_COLUMNS, grid, protocols, n)
 
 
 def sweep_j3(tau: float, n: int, j3_grid: Sequence[float]) -> SweepTable:
@@ -149,7 +124,7 @@ def sweep_j3(tau: float, n: int, j3_grid: Sequence[float]) -> SweepTable:
     if any(j < 0.0 for j in grid) or any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("j3_grid must be nonnegative and strictly increasing")
     protocols = [QuenchProtocol(ProtocolKind.THREE_SPIN, tau, j3=j) for j in grid]
-    return _run_rows(J3_COLUMNS, _j3_lead, grid, protocols, n)
+    return _run_rows(J3_COLUMNS, grid, protocols, n)
 
 
 def fit_loglog(table: SweepTable, column: str, window: tuple[float, float]) -> ScalingFit:

@@ -12,9 +12,11 @@ on qubit B yields about qubit A, over the full Bloch sphere of measurement
 directions; discord is mutual information minus that maximum.  For an X
 state the best azimuth is known in closed form, so the search is over the
 polar angle alone.  That search runs over a whole batch of states in one
-array pass (`classical_correlations`, `discords`); `classical_correlation`
-and `discord` are batches of one, and a state's result does not depend on
-the rest of its batch.
+array pass (`classical_correlations`), and `correlations` gives every
+measure of a batch in one call: the sweeps, the central-qubit trace and
+`quench.measure_state` all read it, and it alone clamps C <= I and Q >= 0
+and marks failed states.  The single-state functions are batches of one,
+and a state's result does not depend on the rest of its batch.
 """
 
 from __future__ import annotations
@@ -375,23 +377,6 @@ def classical_correlation(rho: XStateDensityMatrix) -> tuple[float, MeasurementB
     return float(value[0]), MeasurementBasis(float(theta[0]), float(phi[0]))
 
 
-def discords(states: list[XStateDensityMatrix]) -> np.ndarray:
-    """Quantum discord Q = I - C in bits of every X state (measurement on qubit B)."""
-    i_val = mutual_informations(states)
-    if np.any(np.isnan(i_val)):
-        k = int(np.argmax(np.isnan(i_val)))
-        raise ValueError(f"state {k}: eigenvalue below -{_EIG_CLAMP}: {states[k].eigenvalues().min()}")
-    q = i_val - classical_correlations(states)[0]
-    if np.any(q < -1e-9):
-        raise RuntimeError(f"optimizer produced C > I by {-q.min()}; this is a bug")
-    return np.where(q < 0.0, 0.0, q)
-
-
-def discord(rho) -> float:
-    """Quantum discord Q = I - C in bits (measurement on qubit B): a batch of one."""
-    return float(discords([rho])[0])
-
-
 def concurrences(states: list[XStateDensityMatrix]) -> np.ndarray:
     """Concurrence of every X state from the closed form
     max{0, 2(|b2| - sqrt(a_plus a_minus)), 2(|b1| - a_zero)}, in one array pass.
@@ -416,6 +401,37 @@ def concurrences(states: list[XStateDensityMatrix]) -> np.ndarray:
 def concurrence_xstate(state: XStateDensityMatrix) -> float:
     """Concurrence of one X state: a batch of one of `concurrences`."""
     return float(concurrences([state])[0])
+
+
+def correlations(states: list[XStateDensityMatrix]) -> dict[str, np.ndarray]:
+    """Every measure of every X state, keyed by CSV column: "I", "C", "Q",
+    "Cnc", and the maximizing basis "theta", "phi".
+
+    The one place that clamps and decides failures.  C = min(C, I) and
+    Q = max(I - C, 0), with Python's `min`/`max` tie rule per state (so a
+    -0.0 stays where they keep it); a state with an eigenvalue below
+    -`_EIG_CLAMP` gets NaN in I, C and Q, and only there.  C above I by more
+    than 1e-9 is an optimizer bug and raises RuntimeError.
+    """
+    i = mutual_informations(states)
+    c, theta, phi = classical_correlations(states)
+    q = i - c
+    if np.any(q < -1e-9):
+        k = int(np.argmax(q < -1e-9))
+        raise RuntimeError(f"state {k}: optimizer produced C > I by {-q[k]}; this is a bug")
+    return {
+        # min(c, i) keeps c unless i < c; a NaN i (failed state) is kept too
+        "I": i, "C": np.where(c <= i, c, i), "Q": np.where(0.0 > q, 0.0, q),
+        "Cnc": concurrences(states), "theta": theta, "phi": phi,
+    }
+
+
+def discord(rho) -> float:
+    """Quantum discord Q = I - C in bits (measurement on B): a batch of one of `correlations`."""
+    val = float(correlations([rho])["Q"][0])
+    if math.isnan(val):
+        raise ValueError(f"eigenvalue below -{_EIG_CLAMP}: {rho.eigenvalues().min()}")
+    return val
 
 
 _SYSY = np.array(

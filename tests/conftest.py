@@ -6,6 +6,7 @@ acceptance-criterion report."""
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -21,7 +22,6 @@ from spinquench.xstate import (
     _as_matrix,
     _entropy_bits,
     classical_correlation,
-    conditional_entropy,
 )
 
 _CRITERION_RESULTS: list[tuple[str, bool, str]] = []
@@ -174,6 +174,16 @@ def evolve_mode(k: float, branch: str, config, t_from: float, t_to: float, y) ->
     return central._magnus(a0, b, a1, y, t_from, t_to, n_steps)[:, 0]
 
 
+def concurrence_werner(a: float, d: float) -> float:
+    """Concurrence max[a (sqrt d + 1/2) - 1/2, 0] of the Werner state of weight a
+    dephased by the decoherence factor d (`central.qubit_state`)."""
+    if not (0.0 <= a <= 1.0):
+        raise ValueError(f"a must be in [0, 1], got {a}")
+    if not (0.0 <= d <= 1.0):
+        raise ValueError(f"decoherence factor must be in [0, 1], got {d}")
+    return max(a * (math.sqrt(d) + 0.5) - 0.5, 0.0)
+
+
 def excitation_probability(protocol, k):
     """Probability that mode k in [0, pi] (scalar or array) is excited after the sweep:
     exp(-pi tau gamma^2 sin^2 k) for the Ising sweep, exp(-pi tau (1+cos k)^2 sin^2 k)
@@ -241,6 +251,33 @@ def _grid_conditional_entropies(arr: np.ndarray, w: np.ndarray) -> np.ndarray:
     return total
 
 
+def scalar_conditional_entropy(rows: list, theta: float, phi: float) -> float:
+    """Average entropy of qubit A after measuring B along (theta, phi), from the
+    4x4 state as a nested list (`ndarray.tolist()`): `xstate.conditional_entropy`
+    written with math and cmath, a few times faster for the Nelder-Mead
+    objective.  Outcomes with probability below 1e-15 contribute zero."""
+    w = (math.cos(theta / 2.0), math.sin(theta / 2.0) * cmath.exp(1j * phi))
+    # m[a][c] = sum_bd conj(w_b) rho[2a + b][2c + d] w_d, the unnormalized
+    # state of A for the outcome w; the other outcome leaves rho_A - m
+    m = [
+        [
+            sum(w[b].conjugate() * rows[2 * a + b][2 * c + d] * w[d] for b in (0, 1) for d in (0, 1))
+            for c in (0, 1)
+        ]
+        for a in (0, 1)
+    ]
+    rest = [[rows[2 * a][2 * c] + rows[2 * a + 1][2 * c + 1] - m[a][c] for c in (0, 1)] for a in (0, 1)]
+    total = 0.0
+    for mk in (m, rest):
+        p = (mk[0][0] + mk[1][1]).real
+        if p < 1e-15:
+            continue
+        disc = math.hypot(0.5 * (mk[0][0].real - mk[1][1].real), abs(mk[0][1]))
+        lam = (max(0.5 * p + disc, 0.0) / p, max(0.5 * p - disc, 0.0) / p)
+        total += p * -sum(x * math.log2(x) for x in lam if x > 0.0)
+    return total
+
+
 def oracle_classical_correlation(rho) -> float:
     """Classical correlation of any two-qubit state (dense or X), in bits.
 
@@ -256,9 +293,10 @@ def oracle_classical_correlation(rho) -> float:
     ent = _grid_conditional_entropies(arr, w)
     i, j = np.unravel_index(np.argmin(ent), ent.shape)
     starts = [(tt[i, j], pp[i, j]), (0.0, 0.0), (np.pi / 2.0, 0.0), (np.pi / 4.0, 0.0)]
+    rows = arr.tolist()
     best = min(
         minimize(
-            lambda x: conditional_entropy(arr, x[0], x[1]),
+            lambda x: scalar_conditional_entropy(rows, x[0], x[1]),
             x0,
             method="Nelder-Mead",
             options={"xatol": 1e-6, "fatol": 1e-14, "maxiter": 600},
@@ -275,8 +313,9 @@ def oracle_discord(rho) -> float:
 
 def basis_value(state: XStateDensityMatrix, basis: MeasurementBasis) -> float:
     """Information about A that measuring B in `basis` yields, from the dense state."""
-    s_a = von_neumann_entropy(reduced_states(state.to_matrix())[0])
-    return s_a - conditional_entropy(state.to_matrix(), basis.theta, basis.phi)
+    rho = state.to_matrix()
+    s_a = von_neumann_entropy(reduced_states(rho)[0])
+    return s_a - scalar_conditional_entropy(rho.tolist(), basis.theta, basis.phi)
 
 
 def assert_matches_oracle(state: XStateDensityMatrix) -> None:

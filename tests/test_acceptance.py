@@ -26,13 +26,14 @@ from scipy.special import ive
 from conftest import (
     branch_hamiltonian,
     closed_form_C_polar_n2,
+    concurrence_werner,
     evolve_mode,
     initial_mode_state,
     random_x_state,
     record_criterion,
     weak_coupling_D,
 )
-from spinquench.central import CentralConfig, concurrence_werner, qubit_state, trace_run
+from spinquench.central import CentralConfig, qubit_state, trace_run
 from spinquench.cli import main as cli_main
 from spinquench.kernels import QuenchProtocol, beta_n, compute_betas
 from spinquench.quench import closed_form_C_n2, closed_form_I_n2, measures
@@ -260,15 +261,23 @@ def test_criterion_7_concurrence_oracles():
         for s in (random_x_state(rng) for _ in range(1000))
     )
     c.check(worst_x < 1e-9, f"X-state shortcut == spin-flip formula (max diff {worst_x:.2e})")
+    # the program's concurrence of the Werner states against the spin-flip
+    # formula, and the closed form max[a (sqrt d + 1/2) - 1/2, 0] as oracle
+    grid = [(a, d) for a in np.linspace(0.0, 1.0, 20) for d in np.linspace(0.0, 1.0, 20)]
+    werner = [concurrence_xstate(qubit_state(a, d)) for a, d in grid]
     worst_w = max(
-        abs(concurrence_werner(a, d) - concurrence_wootters(qubit_state(a, d).to_matrix()))
-        for a in np.linspace(0.0, 1.0, 20)
-        for d in np.linspace(0.0, 1.0, 20)
+        abs(cnc - concurrence_wootters(qubit_state(a, d).to_matrix()))
+        for cnc, (a, d) in zip(werner, grid)
     )
-    c.check(worst_w < 1e-9, f"Werner closed form == spin-flip formula (max diff {worst_w:.2e})")
+    worst_cf = max(abs(cnc - concurrence_werner(a, d)) for cnc, (a, d) in zip(werner, grid))
     c.check(
-        concurrence_werner(1.0 / 3.0, 1.0) == 0.0
-        and concurrence_werner(1.0 / 3.0 + 1e-9, 1.0) > 0.0,
+        worst_w < 1e-9,
+        f"Werner states: X-state shortcut == spin-flip formula (max diff {worst_w:.2e}; "
+        f"closed form {worst_cf:.2e})",
+    )
+    c.check(
+        concurrence_xstate(qubit_state(1.0 / 3.0, 1.0)) == 0.0
+        and concurrence_xstate(qubit_state(1.0 / 3.0 + 1e-9, 1.0)) > 0.0,
         "separability threshold exactly at a = 1/3",
     )
     c.finish("7. concurrence oracle agreement")
@@ -283,7 +292,7 @@ def test_criterion_8_decoherence(weak_coupling_trace, revival_trace):
     _, weak_tr, t_weak = weak_coupling_trace
     d251 = weak_tr.decoherence[-1]
     c.check(abs(d251 - 0.7025) <= 0.05, f"D(t=251) = {d251:.4f} vs 0.7025+-0.05")
-    cnc = concurrence_werner(0.9, d251)
+    cnc = weak_tr.concurrence[-1]
     c.check(abs(cnc - 0.704) <= 0.03, f"Cnc(a=0.9) = {cnc:.4f} vs 0.704+-0.03")
 
     _, rev_tr, t_rev = revival_trace

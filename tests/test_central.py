@@ -18,7 +18,6 @@ from spinquench.central import (
     CentralConfig,
     IntegrationError,
     ModeEnsemble,
-    concurrence_werner,
     mode_momenta,
     qubit_state,
     trace_run,
@@ -27,13 +26,14 @@ from conftest import (
     approx_Fk,
     assert_matches_oracle,
     branch_hamiltonian,
+    concurrence_werner,
     evolve_mode,
     excitation_probability,
     initial_mode_state,
     weak_coupling_D,
 )
 from spinquench.kernels import QuenchProtocol
-from spinquench.xstate import concurrence_wootters, discord, mutual_information
+from spinquench.xstate import concurrence_wootters, concurrence_xstate, discord, mutual_information
 
 
 def small_config(**kw) -> CentralConfig:
@@ -530,28 +530,37 @@ class TestQubitState:
         assert np.allclose(np.sort(state.eigenvalues()), expected, atol=1e-12)
 
 
+def werner_concurrence(a: float, d: float) -> float:
+    """The program's concurrence of the dephased Werner state, the one the trace records."""
+    return concurrence_xstate(qubit_state(a, d))
+
+
 class TestConcurrenceWerner:
     def test_pure_bell(self):
-        assert concurrence_werner(1.0, 1.0) == 1.0
+        assert werner_concurrence(1.0, 1.0) == 1.0
 
     def test_separable_threshold(self):
         for a in (0.0, 0.2, 1.0 / 3.0):
             for d in (0.0, 0.5, 1.0):
-                assert concurrence_werner(a, d) == 0.0
+                assert werner_concurrence(a, d) == 0.0
+        assert werner_concurrence(1.0 / 3.0 + 1e-9, 1.0) > 0.0
 
     def test_reference_point(self):
-        val = concurrence_werner(0.9, 0.7025)
+        val = werner_concurrence(0.9, 0.7025)
         assert val == pytest.approx(0.70434, abs=5e-5)
         assert val == pytest.approx(
             concurrence_wootters(qubit_state(0.9, 0.7025).to_matrix()), abs=1e-9
         )
 
     def test_matches_wootters_on_grid(self):
+        # the closed form max[a (sqrt d + 1/2) - 1/2, 0] is the oracle too
         for a in np.linspace(0.0, 1.0, 20):
             for d in np.linspace(0.0, 1.0, 20):
-                assert concurrence_werner(a, d) == pytest.approx(
+                val = werner_concurrence(a, d)
+                assert val == pytest.approx(
                     concurrence_wootters(qubit_state(a, d).to_matrix()), abs=1e-9
                 )
+                assert val == pytest.approx(concurrence_werner(a, d), abs=1e-15)
 
     def test_discord_monotone_in_decoherence_factor(self):
         for a in (0.25, 0.5, 0.75, 0.9):

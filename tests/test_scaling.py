@@ -106,26 +106,9 @@ class TestSweepTau:
         assert np.isnan(t.column("Q")[1])
         assert np.isfinite(t.column("Q")[[0, 2]]).all()
 
-    def test_failed_report_marked_and_sweep_continues(self, monkeypatch):
-        # a failure after the batched search stays in its own row too
-        calls = {"count": 0}
-        real = scaling.correlation_report
-
-        def flaky(*args):
-            calls["count"] += 1
-            if calls["count"] == 2:
-                raise ValueError("synthetic report failure")
-            return real(*args)
-
-        monkeypatch.setattr(scaling, "correlation_report", flaky)
-        t = sweep_tau(QuenchProtocol.ising(1.0, 1.0), 2, [0.5, 1.0, 2.0])
-        assert t.errors == ((1, "synthetic report failure"),)
-        assert t.data[1, 0] == 1.0 and np.isnan(t.data[1, 1:]).all()
-        assert np.isfinite(t.data[[0, 2]]).all()
-
     def test_negative_eigenvalue_fails_only_its_own_row(self, monkeypatch):
-        # the batched mutual information gives NaN for that state alone, and
-        # its row's report refuses it
+        # the batched measures give NaN for that state alone, and its row
+        # is listed as failed
         from test_xstate import NEGATIVE_EIGENVALUE
 
         calls = {"count": 0}

@@ -1,4 +1,5 @@
-"""The benchmark still finds every program name it wraps or reads.
+"""The benchmark still finds every program name it wraps or reads, and the
+experiment scripts still run.
 
 bench/tracing.py replaces the names in its LOOKUPS table with recording
 wrappers and raises if one no longer exists; a renamed `trace_run` or
@@ -19,6 +20,24 @@ import types
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+
+# each script of scripts/ at small arguments, and the CSVs it writes
+SCRIPTS = {
+    "ising_discord_scaling.py": (
+        ["--points", "12"],
+        ["ising_sweep_n2.csv", "ising_sweep_n4.csv", "ising_sweep_n6.csv"],
+    ),
+    "multicritical_scaling.py": (["--points", "9"], ["multicritical_sweep_n2.csv"]),
+    "three_spin_scan.py": (
+        ["--taus", "2", "10", "--j3-values", "0.5", "--j3-points", "11"],
+        ["three_spin_vs_j3_tau2.csv", "three_spin_vs_j3_tau10.csv", "three_spin_vs_tau_j30.5.csv"],
+    ),
+    "decoherence_trace.py": (
+        ["--n-spins", "20", "--delta", "0.05", "--tau", "2", "--a", "0.5", "0.9",
+         "--t0", "-2", "--t1", "2", "--dt", "1"],
+        ["decoherence_delta0.05_a0.5.csv", "decoherence_delta0.05_a0.9.csv"],
+    ),
+}
 
 PROBE = """
 import tracing
@@ -87,3 +106,20 @@ def test_trace_fields_read_by_the_benchmark_exist():
     }
     assert {"max_step_drift", "renorm_events"} <= read
     assert read <= {f.name for f in dataclasses.fields(DecoherenceTrace)}
+
+
+def test_scripts_run(tmp_path):
+    # a script that imports a name the library no longer has fails here, not
+    # only when someone next regenerates the figure data
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for script, (args, csvs) in SCRIPTS.items():
+        outdir = tmp_path / script.removesuffix(".py")
+        run = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / script), *args, "--outdir", str(outdir)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert run.returncode == 0, f"{script}: {run.stderr}"
+        assert sorted(p.name for p in outdir.glob("*.csv")) == sorted(csvs), script
+        for name in csvs:
+            text = (outdir / name).read_text()
+            assert len(text.splitlines()) > 1 and "nan" not in text.lower(), name

@@ -22,7 +22,7 @@ from conftest import (
 )
 from spinquench import xstate
 from spinquench.kernels import QuenchProtocol
-from spinquench.quench import correlators
+from spinquench.quench import correlators, measure_state
 from spinquench.xstate import (
     CorrelationReport,
     CorrelatorSet,
@@ -35,8 +35,8 @@ from spinquench.xstate import (
     concurrence_xstate,
     concurrences,
     conditional_entropy,
+    correlations,
     discord,
-    discords,
     mutual_information,
     mutual_informations,
     subsystem_entropy,
@@ -382,9 +382,21 @@ class TestBatchInvariance:
             c_val = max(subsystem_entropy(state.a_plus - state.a_minus) - s_min, 0.0)
             assert same_bits((value[k], theta[k]), (c_val, math.acos(c_best))), k
 
-    def test_discords_equal_discord_of_each_state(self):
+    def test_correlations_equal_batches_of_one_and_the_report(self):
         states = mixed_batch()
-        assert same_bits(discords(states), [discord(s) for s in states])
+        got = correlations(states)
+        keys = ("I", "C", "Q", "Cnc", "theta", "phi")
+        assert set(got) == set(keys)
+        for k, state in enumerate(states):
+            alone = correlations([state])
+            assert same_bits([got[key][k] for key in keys], [alone[key][0] for key in keys]), k
+            rep = measure_state(state)
+            report = (
+                rep.mutual_information, rep.classical_correlation, rep.discord,
+                rep.concurrence, rep.argmax_basis.theta, rep.argmax_basis.phi,
+            )
+            assert same_bits([got[key][k] for key in keys], report), k
+            assert same_bits(got["Q"][k], discord(state)), k
 
     def test_empty_batch(self):
         value, theta, phi = classical_correlations([])
@@ -436,8 +448,40 @@ class TestBatchedClosedForms:
         assert same_bits(np.delete(got, 5), mutual_informations(states))
         with pytest.raises(ValueError, match="eigenvalue below"):
             mutual_information(NEGATIVE_EIGENVALUE)
-        with pytest.raises(ValueError):
-            discords(with_bad)
+
+    def test_negative_eigenvalue_is_nan_in_i_c_q_only(self):
+        states = mixed_batch()
+        got = correlations(states[:5] + [NEGATIVE_EIGENVALUE] + states[5:])
+        clean, alone = correlations(states), correlations([NEGATIVE_EIGENVALUE])
+        for key in ("I", "C", "Q", "Cnc", "theta", "phi"):
+            assert same_bits(np.delete(got[key], 5), clean[key]), key
+            assert same_bits(got[key][5], alone[key][0]), key
+            assert np.isnan(got[key][5]) == (key in ("I", "C", "Q")), key
+        with pytest.raises(ValueError, match="eigenvalue below"):
+            discord(NEGATIVE_EIGENVALUE)
+
+    def test_c_above_i_raises_and_roundoff_is_clamped(self, monkeypatch):
+        # an optimizer that overshoots I by more than 1e-9 is a bug; an
+        # overshoot below it is roundoff, clamped to C = I and Q = 0
+        states = mixed_batch()
+        i_vals = mutual_informations(states)
+        real = xstate.classical_correlations
+
+        def overshoot(by):
+            def patched(batch):
+                value, theta, phi = real(batch)
+                value = value.copy()
+                value[3] = i_vals[3] + by
+                return value, theta, phi
+            return patched
+
+        monkeypatch.setattr(xstate, "classical_correlations", overshoot(2e-9))
+        with pytest.raises(RuntimeError, match="state 3: optimizer produced C > I"):
+            correlations(states)
+        monkeypatch.setattr(xstate, "classical_correlations", overshoot(5e-10))
+        got = correlations(states)
+        assert got["C"][3] == got["I"][3] == i_vals[3]
+        assert got["Q"][3] == 0.0
 
     def test_empty_batch(self):
         assert mutual_informations([]).shape == concurrences([]).shape == (0,)
