@@ -9,13 +9,12 @@ Use --delta 1e-4 with --t0 0 --t1 300 for the weak-coupling decay regime.
 """
 
 import argparse
-import math
 from pathlib import Path
 
 import numpy as np
 
 from spinquench import CentralConfig, trace_run
-from spinquench.central import qubit_state
+from spinquench.central import observation_grid, qubit_state
 from spinquench.xstate import correlations
 
 
@@ -33,16 +32,13 @@ def main():
     args = ap.parse_args()
 
     args.outdir.mkdir(parents=True, exist_ok=True)
-    # up to t1, never past it: the last time t0 + k dt <= t1 + 1e-9 dt
-    steps = math.floor((args.t1 - args.t0) / args.dt + 1e-9)
-    t_grid = tuple(np.arange(args.t0, args.t0 + (steps + 0.5) * args.dt, args.dt))
     # D(t) does not depend on the Werner weight: evolve once, reuse for all a
     cfg = CentralConfig(
         n_spins=args.n_spins,
         delta=args.delta,
         tau=args.tau,
         a=args.a[0],
-        t_grid=t_grid,
+        t_grid=observation_grid(args.t0, args.t1, args.dt),
         h_start=args.h_start,
     )
     trace = trace_run(cfg)

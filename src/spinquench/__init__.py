@@ -7,7 +7,7 @@ chain), `scaling` (sweeps and power-law fits), `cli` (CSV front end).
 """
 
 from .central import CentralConfig, DecoherenceTrace, trace_run
-from .kernels import BetaSet, ProtocolKind, QuenchProtocol, beta_n, defect_density
+from .kernels import ProtocolKind, QuenchProtocol, beta_n, defect_density
 from .quench import closed_form_C_n2, closed_form_I_n2, correlators, measures
 from .scaling import ScalingFit, SweepTable, fit_loglog, sweep_j3, sweep_tau
 from .xstate import (
@@ -23,7 +23,6 @@ from .xstate import (
 )
 
 __all__ = [
-    "BetaSet",
     "CentralConfig",
     "CorrelationReport",
     "CorrelatorSet",

@@ -128,6 +128,15 @@ class CentralConfig:
         return 1.0 - t / self.tau
 
 
+def observation_grid(t0: float, t1: float, dt: float) -> tuple[float, ...]:
+    """Times t0 + k dt up to t1, never past it beyond roundoff of 1e-9 dt;
+    t0 < t1 finite and dt > 0."""
+    span = t1 - t0
+    if not (dt > 0.0 and 0.0 < span < math.inf):
+        raise ValueError("need finite t0 < t1 and dt > 0")
+    return tuple(t0 + k * dt for k in range(math.floor(span / dt + 1e-9) + 1))
+
+
 @dataclass
 class DecoherenceTrace:
     """Time series of the decoherence factor and the qubit correlations.

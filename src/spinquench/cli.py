@@ -1,43 +1,30 @@
 """Command-line front end: deterministic CSV output for sweeps, fits, and traces.
 
-Subcommands: measures, sweep, fit, decohere.  Output goes to --output or
-stdout, diagnostics to stderr.  Exit codes: 0 success, 2 invalid
-configuration, 3 numerical failure.  Reruns produce byte-identical CSV
-for a fixed configuration; sweep's --workers is accepted but has no effect.
+Subcommands: measures, sweep, fit, decohere.  Each subparser names its
+command (`run`), which reads argparse's namespace, checks it and builds its
+own protocol, grid or `CentralConfig`.  measures is the one-row table of the
+sweeps' own pipeline (`scaling.measure_table`), and both print through
+`_write_table`: a failed row is written as NaNs, listed on stderr as
+`numerical failure: row i failed: ...`, and makes the exit code 3.  Output
+goes to --output or stdout, diagnostics to stderr.  Exit codes: 0 success,
+2 invalid configuration, 3 numerical failure.  Reruns produce byte-identical
+CSV for a fixed configuration; sweep's --workers is accepted but has no
+effect.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import central, scaling
-from .kernels import QuadratureError, QuenchProtocol, compute_betas
-from .quench import measure_state, state_from_betas
+from .kernels import QuadratureError, QuenchProtocol
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
-
-
-@dataclass
-class RunConfig:
-    """Validated knobs of a single invocation (one subcommand's worth)."""
-
-    subcommand: str
-    protocol: QuenchProtocol | None = None
-    n: int = 2
-    tau_grid: list[float] | None = None
-    j3_grid: list[float] | None = None
-    column: str = "Q"
-    window: tuple[float, float] = (1e2, 1e4)
-    input_path: str | None = None
-    output_path: str | None = None
-    central_config: central.CentralConfig | None = None
 
 
 def _fmt(value) -> str:
@@ -55,6 +42,18 @@ def _write_csv(path: str | None, header: list[str], rows: list[list]) -> None:
     else:
         with open(path, "w", newline="") as fh:
             fh.write(text)
+
+
+def _write_table(path: str | None, table: scaling.SweepTable) -> int:
+    """Write a table's rows (n as an integer) and report its failed rows: exit 3 if any."""
+    rows = [
+        [int(v) if name == "n" and np.isfinite(v) else v for name, v in zip(table.columns, row)]
+        for row in table.data
+    ]
+    _write_csv(path, list(table.columns), rows)
+    for idx, message in table.errors:
+        print(f"numerical failure: row {idx} failed: {message}", file=sys.stderr)
+    return EXIT_NUMERICAL if table.errors else EXIT_OK
 
 
 def _build_protocol(args) -> QuenchProtocol:
@@ -83,72 +82,77 @@ def _log_grid(lo: float, hi: float, points: int) -> list[float]:
     return list(np.geomspace(lo, hi, points))
 
 
-def cmd_measures(cfg: RunConfig) -> int:
-    betas = compute_betas(cfg.protocol, n_max=6)  # printed, and enough for every n
-    rep = measure_state(state_from_betas(betas, cfg.n))
-    row = [
-        cfg.protocol.tau,
-        cfg.n,
-        betas[0],
-        betas[2],
-        betas[4],
-        betas[6],
-        rep.mutual_information,
-        rep.classical_correlation,
-        rep.discord,
-        rep.concurrence,
-    ]
-    _write_csv(
-        cfg.output_path,
-        ["tau", "n", "beta0", "beta2", "beta4", "beta6", "I", "C", "Q", "Cnc"],
-        [row],
-    )
-    return EXIT_OK
+def cmd_measures(args) -> int:
+    return _write_table(args.output, scaling.measure_table(_build_protocol(args), args.n))
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
-    if cfg.j3_grid is not None:
-        table = scaling.sweep_j3(cfg.protocol.tau, cfg.n, cfg.j3_grid)
+def cmd_sweep(args) -> int:
+    if args.workers is not None and args.workers < 1:
+        raise ValueError("--workers must be >= 1")
+    has_j3_grid = args.j3_min is not None or args.j3_max is not None
+    has_tau_grid = args.tau_min is not None or args.tau_max is not None
+    if has_j3_grid and has_tau_grid:
+        raise ValueError("choose one abscissa: a tau grid or a j3 grid")
+    if has_j3_grid:
+        if args.protocol != "three-spin":
+            raise ValueError("a j3 grid requires --protocol three-spin")
+        if args.tau is None:
+            raise ValueError("a j3 sweep needs a fixed --tau")
+        if args.j3_min is None or args.j3_max is None:
+            raise ValueError("need both --j3-min and --j3-max")
+        if args.j3_max <= args.j3_min or args.j3_points < 2:
+            raise ValueError("bad j3 grid spec")
+        j3_grid = list(np.linspace(args.j3_min, args.j3_max, args.j3_points))
+        args.j3 = None  # grid supplies it
+        table = scaling.sweep_j3(_build_protocol(args).tau, args.n, j3_grid)
+    elif has_tau_grid:
+        if args.tau_min is None or args.tau_max is None:
+            raise ValueError("need both --tau-min and --tau-max")
+        tau_grid = _log_grid(args.tau_min, args.tau_max, args.tau_points)
+        table = scaling.sweep_tau(_build_protocol(args), args.n, tau_grid)
     else:
-        table = scaling.sweep_tau(cfg.protocol, cfg.n, cfg.tau_grid)
-    rows = []
-    for row in table.data:
-        out = []
-        for name, v in zip(table.columns, row):
-            out.append(int(v) if name == "n" and np.isfinite(v) else v)
-        rows.append(out)
-    _write_csv(cfg.output_path, list(table.columns), rows)
-    for idx, message in table.errors:
-        print(f"row {idx} failed: {message}", file=sys.stderr)
-    return EXIT_NUMERICAL if table.errors else EXIT_OK
+        raise ValueError("sweep needs --tau-min/--tau-max or --j3-min/--j3-max")
+    return _write_table(args.output, table)
 
 
-def cmd_fit(cfg: RunConfig) -> int:
-    with open(cfg.input_path, newline="") as fh:
+def cmd_fit(args) -> int:
+    if args.window_max <= args.window_min:
+        raise ValueError("--window-max must exceed --window-min")
+    with open(args.input, newline="") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     header = lines[0].split(",")
     data = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
-    if cfg.column not in header:
-        raise ValueError(f"column {cfg.column!r} not in {header}")
+    if args.column not in header:
+        raise ValueError(f"column {args.column!r} not in {header}")
     table = scaling.SweepTable(columns=tuple(header), data=data)
-    fit = scaling.fit_loglog(table, cfg.column, cfg.window)
+    fit = scaling.fit_loglog(table, args.column, (args.window_min, args.window_max))
     _write_csv(
-        cfg.output_path,
+        args.output,
         ["slope", "intercept", "r_squared", "window_min", "window_max", "n_points"],
         [[fit.slope, fit.intercept, fit.r_squared, fit.window[0], fit.window[1], fit.n_points]],
     )
     return EXIT_OK
 
 
-def cmd_decohere(cfg: RunConfig) -> int:
-    trace = central.trace_run(cfg.central_config)
+def cmd_decohere(args) -> int:
+    trace = central.trace_run(
+        central.CentralConfig(
+            n_spins=args.n_spins,
+            delta=args.delta,
+            tau=args.tau,
+            a=args.a,
+            gamma=args.gamma,
+            h_start=args.h_start,
+            t_grid=central.observation_grid(args.t0, args.t1, args.dt),
+        )
+    )
     rows = [
         [t, h, d, q, c]
         for t, h, d, q, c in zip(
             trace.t, trace.h, trace.decoherence, trace.discord, trace.concurrence
         )
     ]
-    _write_csv(cfg.output_path, ["t", "h", "D", "Q", "Cnc"], rows)
+    _write_csv(args.output, ["t", "h", "D", "Q", "Cnc"], rows)
     print(
         f"adiabatic: {trace.adiabatic_steps} steps to t = {trace.handoff:g}; "
         f"magnus: {trace.steps} steps of at most {trace.step:g}, "
@@ -191,11 +195,13 @@ def _make_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=int, default=2, choices=[2, 4, 6], help="spin separation")
 
     p = sub.add_parser("measures", help="one (protocol, tau, n) correlation report")
+    p.set_defaults(run=cmd_measures)
     add_common(p)
     add_protocol(p)
     p.add_argument("--tau", type=float, required=True)
 
     p = sub.add_parser("sweep", help="measures over a tau grid, or over j3 at fixed tau")
+    p.set_defaults(run=cmd_sweep)
     add_common(p)
     add_protocol(p)
     p.add_argument("--tau", type=float, help="fixed tau (j3 sweeps)")
@@ -212,6 +218,7 @@ def _make_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("fit", help="log-log power-law fit of a sweep CSV column")
+    p.set_defaults(run=cmd_fit)
     add_common(p)
     p.add_argument("--input", required=True, help="sweep CSV path")
     p.add_argument("--column", default="Q")
@@ -219,6 +226,7 @@ def _make_parser() -> argparse.ArgumentParser:
     p.add_argument("--window-max", type=float, default=1e4)
 
     p = sub.add_parser("decohere", help="central-qubit decoherence trace")
+    p.set_defaults(run=cmd_decohere)
     add_common(p)
     p.add_argument("--n-spins", type=int, required=True, help="environment size N")
     p.add_argument("--delta", type=float, required=True, help="qubit-environment coupling")
@@ -241,7 +249,7 @@ def _extract_config_path(argv) -> str | None:
     return None
 
 
-def _parse(argv) -> RunConfig:
+def _parse(argv) -> argparse.Namespace:
     parser = _make_parser()
     # the file is located by scanning argv before parsing, since required
     # flags may be satisfied by the file itself
@@ -259,79 +267,15 @@ def _parse(argv) -> RunConfig:
         argv = [argv[0], *(f"{flags[k]}={v}" for k, v in file_values.items()), *argv[1:]]
     args = parser.parse_args(argv)
 
-    cfg = RunConfig(subcommand=args.subcommand, output_path=args.output)
-    if args.subcommand in ("measures", "sweep"):
-        cfg.n = args.n
-        if args.subcommand == "sweep":
-            if args.workers is not None and args.workers < 1:
-                raise ValueError("--workers must be >= 1")
-            has_j3_grid = args.j3_min is not None or args.j3_max is not None
-            has_tau_grid = args.tau_min is not None or args.tau_max is not None
-            if has_j3_grid and has_tau_grid:
-                raise ValueError("choose one abscissa: a tau grid or a j3 grid")
-            if has_j3_grid:
-                if args.protocol != "three-spin":
-                    raise ValueError("a j3 grid requires --protocol three-spin")
-                if args.tau is None:
-                    raise ValueError("a j3 sweep needs a fixed --tau")
-                if args.j3_min is None or args.j3_max is None:
-                    raise ValueError("need both --j3-min and --j3-max")
-                if args.j3_max <= args.j3_min or args.j3_points < 2:
-                    raise ValueError("bad j3 grid spec")
-                cfg.j3_grid = list(
-                    np.linspace(args.j3_min, args.j3_max, args.j3_points)
-                )
-                args.j3 = None  # grid supplies it
-            elif has_tau_grid:
-                if args.tau_min is None or args.tau_max is None:
-                    raise ValueError("need both --tau-min and --tau-max")
-                cfg.tau_grid = _log_grid(args.tau_min, args.tau_max, args.tau_points)
-            else:
-                raise ValueError("sweep needs --tau-min/--tau-max or --j3-min/--j3-max")
-        cfg.protocol = _build_protocol(args)
-    elif args.subcommand == "fit":
-        cfg.input_path = args.input
-        cfg.column = args.column
-        if args.window_max <= args.window_min:
-            raise ValueError("--window-max must exceed --window-min")
-        cfg.window = (args.window_min, args.window_max)
-    elif args.subcommand == "decohere":
-        span = args.t1 - args.t0
-        if not (args.dt > 0.0 and 0.0 < span < math.inf):
-            raise ValueError("need finite t0 < t1 and dt > 0")
-        # the last time t0 + k dt not past t1, up to roundoff of 1e-9 dt
-        n_steps = math.floor(span / args.dt + 1e-9)
-        t_grid = tuple(args.t0 + i * args.dt for i in range(n_steps + 1))
-        cfg.central_config = central.CentralConfig(
-            n_spins=args.n_spins,
-            delta=args.delta,
-            tau=args.tau,
-            a=args.a,
-            gamma=args.gamma,
-            h_start=args.h_start,
-            t_grid=t_grid,
-        )
-    return cfg
-
-
-_COMMANDS = {
-    "measures": cmd_measures,
-    "sweep": cmd_sweep,
-    "fit": cmd_fit,
-    "decohere": cmd_decohere,
-}
+    return args
 
 
 def main(argv=None) -> int:
     try:
-        cfg = _parse(argv if argv is not None else sys.argv[1:])
+        args = _parse(argv if argv is not None else sys.argv[1:])
+        return args.run(args)
     except SystemExit as exc:  # argparse reports usage errors via exit
         return EXIT_CONFIG if exc.code else EXIT_OK
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        return _COMMANDS[cfg.subcommand](cfg)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -8,8 +8,9 @@ cosine moment of that probability over the Brillouin zone,
     beta_n = (1/pi) * integral_0^pi p_k cos(n k) dk.
 
 beta_0 is the defect density.  `moment_table` computes the moments of a
-batch of protocols (the rows of a sweep) together; `beta_n` and
-`compute_betas` are batches of one.
+batch of protocols (the rows of a sweep) together, and `MomentTable.betas`
+hands one row on as a dict keyed by n once 0 <= beta_0 <= 1 and
+|beta_n| <= beta_0 hold; `beta_n` and `compute_betas` are batches of one.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -84,30 +85,6 @@ class QuenchProtocol:
     @classmethod
     def three_spin(cls, j3: float, tau: float) -> "QuenchProtocol":
         return cls(ProtocolKind.THREE_SPIN, tau, j3=j3)
-
-
-@dataclass(frozen=True)
-class BetaSet:
-    """Cosine moments beta_n of the excitation probability, for even n <= n_max."""
-
-    n_max: int
-    values: Mapping[int, float]
-
-    def __post_init__(self):
-        if self.n_max < 0 or self.n_max % 2 != 0:
-            raise ValueError(f"n_max must be an even integer >= 0, got {self.n_max}")
-        expected = set(range(0, self.n_max + 1, 2))
-        if set(self.values) != expected:
-            raise ValueError(f"values must hold exactly the even n in [0, {self.n_max}]")
-        b0 = self.values[0]
-        if not (-1e-12 <= b0 <= 1.0 + 1e-12):
-            raise ValueError(f"beta_0 = {b0} outside [0, 1]")
-        for n, b in self.values.items():
-            if abs(b) > b0 + 1e-10:
-                raise ValueError(f"|beta_{n}| = {abs(b)} exceeds beta_0 = {b0}")
-
-    def __getitem__(self, n: int) -> float:
-        return self.values[n]
 
 
 def _exponent(kind: ProtocolKind, gamma, j3, k):
@@ -224,9 +201,17 @@ class MomentTable:
             )
         return self.values[i]
 
-    def betas(self, i: int, n_max: int) -> BetaSet:
-        """Row i of a table of the even n up to n_max, as a `BetaSet`."""
-        return BetaSet(n_max=n_max, values=dict(zip(self.ns, self.row(i).tolist())))
+    def betas(self, i: int) -> dict[int, float]:
+        """Row i as a dict keyed by n (`row`); raises `ValueError` when beta_0
+        lies outside [0, 1] or some |beta_n| exceeds beta_0."""
+        values = dict(zip(self.ns, self.row(i).tolist()))
+        b0 = values[0]
+        if not (-1e-12 <= b0 <= 1.0 + 1e-12):
+            raise ValueError(f"beta_0 = {b0} outside [0, 1]")
+        for n, b in values.items():
+            if abs(b) > b0 + 1e-10:
+                raise ValueError(f"|beta_{n}| = {abs(b)} exceeds beta_0 = {b0}")
+        return values
 
 
 def moment_table(protocols: Sequence[QuenchProtocol], ns: Sequence[int]) -> MomentTable:
@@ -301,9 +286,11 @@ def beta_n(protocol: QuenchProtocol, n: int) -> float:
     return float(moment_table([protocol], [n]).row(0)[0])
 
 
-def compute_betas(protocol: QuenchProtocol, n_max: int) -> BetaSet:
-    """All even moments up to n_max from one `moment_table` row."""
-    return moment_table([protocol], range(0, n_max + 1, 2)).betas(0, n_max)
+def compute_betas(protocol: QuenchProtocol, n_max: int) -> dict[int, float]:
+    """All even moments up to n_max from one `moment_table` row, keyed by n."""
+    if n_max < 0 or n_max % 2 != 0:
+        raise ValueError(f"n_max must be an even integer >= 0, got {n_max}")
+    return moment_table([protocol], range(0, n_max + 1, 2)).betas(0)
 
 
 def defect_density(protocol: QuenchProtocol) -> float:

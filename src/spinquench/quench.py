@@ -1,10 +1,12 @@
 """Final-state two-spin correlators after a quench, and the measures built on them.
 
 The correlators at separation n are polynomials in the moments beta_0 .. beta_n
-(closed expressions exist for n = 2, 4, 6).  `measures` runs the full pipeline
-moments -> correlators -> X state (`state_from_betas`) -> {mutual information,
-classical correlation, discord, concurrence} (`measure_state`, a batch of one
-of `xstate.correlations`, which the sweeps call on all their rows at once).
+(closed expressions exist for n = 2, 4, 6), read from any mapping of n to
+beta_n.  `measures` runs the full pipeline moments -> correlators -> X state
+(`state_from_betas`) -> {mutual information, classical correlation, discord,
+concurrence} (`measure_state`, a batch of one of `xstate.correlations`) for
+the library; the sweeps and the CLI take the same steps through
+`scaling._run_rows`, which measures all their rows at once.
 
 `closed_form_I_n2` / `closed_form_C_n2` evaluate the printed n = 2 expressions
 verbatim as an independent cross-check of the pipeline.  Note: the closed-form
@@ -19,8 +21,9 @@ larger of the two axis values (acceptance criterion 3).
 from __future__ import annotations
 
 import math
+from typing import Mapping
 
-from .kernels import BetaSet, QuenchProtocol, compute_betas
+from .kernels import QuenchProtocol, compute_betas
 from .xstate import (
     CorrelationReport,
     CorrelatorSet,
@@ -42,7 +45,7 @@ def _check_separation(n: int):
         raise ValueError(f"separation n must be one of {_SEPARATIONS}, got {n}")
 
 
-def correlators_from_betas(betas: BetaSet, n: int) -> CorrelatorSet:
+def correlators_from_betas(betas: Mapping[int, float], n: int) -> CorrelatorSet:
     """Two-spin correlators at separation n from the moments beta_0 .. beta_n.
 
     c1 is 1/4 of the n x n Toeplitz determinant det[G_{i-j+1}] with
@@ -76,7 +79,7 @@ def correlators(protocol: QuenchProtocol, n: int) -> CorrelatorSet:
     return correlators_from_betas(compute_betas(protocol, n_max=n), n)
 
 
-def state_from_betas(betas: BetaSet, n: int) -> XStateDensityMatrix:
+def state_from_betas(betas: Mapping[int, float], n: int) -> XStateDensityMatrix:
     """X state of two spins n sites apart, built from the moments beta_0 .. beta_n."""
     return build_xstate(correlators_from_betas(betas, n))
 

@@ -1,12 +1,13 @@
 """Parameter sweeps and power-law fits of the correlation measures.
 
 `sweep_tau` materializes the measures over a grid of inverse rates;
-`sweep_j3` scans the three-spin coupling at fixed rate.  `fit_loglog`
-extracts d(ln y)/d(ln x) by ordinary least squares.  The moments of all
-rows come from one kernel call (`moment_table`); each row's X state is
-built from them in grid order; `xstate.correlations` then measures all of
-the sweep's states in one call.  A row that fails holds NaNs and is listed
-in the table's errors.
+`sweep_j3` scans the three-spin coupling at fixed rate; `measure_table` is
+the one-row table of a single protocol, with its moments beta_0 .. beta_6.
+`fit_loglog` extracts d(ln y)/d(ln x) by ordinary least squares.  All three
+tables come from `_run_rows`: the moments of all rows from one kernel call
+(`moment_table`), each row's X state built from them in grid order, and
+`xstate.correlations` measuring all of the states in one call.  A row that
+fails holds NaNs and is listed in the table's errors.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .quench import measures  # noqa: F401
 
 TAU_COLUMNS = ("tau", "n", "beta0", "I", "C", "Q", "Cnc")
 J3_COLUMNS = ("j3", "Q", "Cnc")
+MEASURE_COLUMNS = ("tau", "n", "beta0", "beta2", "beta4", "beta6", "I", "C", "Q", "Cnc")
 
 
 @dataclass(frozen=True)
@@ -79,34 +81,41 @@ def _run_rows(columns, grid, protocols, n) -> SweepTable:
     """Take every row's moments in one kernel call, build each row's X state,
     then measure all of the states at once.
 
-    Each row's moments are checked and its state built row by row
-    (`state_from_betas`), so a row whose moments missed the kernel's
-    tolerance, or whose state fails, holds NaNs and is listed in the errors
-    while the others go on.  `xstate.correlations` then measures the built
-    states in one call; a state it marks failed (NaN I) fails its row alone.
-    Its result fills the value columns by name; n and beta0 come from the moments.
+    The moments run up to n or to the highest `beta{k}` column, whichever is
+    larger.  Each row's moments are checked and its state built row by row
+    (`MomentTable.betas`, `state_from_betas`), so a row whose moments missed
+    the kernel's tolerance, or whose state fails, holds NaNs and is listed in
+    the errors while the others go on.  `xstate.correlations` then measures
+    the built states in one call; a state it marks failed (NaN I) fails its
+    row alone.  Its result fills the value columns by name; n and every
+    `beta{k}` come from the moments.
     """
     data = np.full((len(grid), len(columns)), np.nan)
     data[:, 0] = grid
     errors = []
-    moments = moment_table(protocols, range(0, n + 1, 2))
-    rows, states, beta0 = [], [], []
+    orders = [int(name[4:]) for name in columns if name.startswith("beta")]
+    moments = moment_table(protocols, range(0, max([n, *orders]) + 1, 2))
+    rows, states = [], []
     for i in range(len(protocols)):
         try:
-            betas = moments.betas(i, n)
-            states.append(state_from_betas(betas, n))
+            states.append(state_from_betas(moments.betas(i), n))
             rows.append(i)
-            beta0.append(betas[0])
         except Exception as exc:  # noqa: BLE001 - row failures are data
             errors.append((i, str(exc)))
-    values = correlations(states) | {"n": np.full(len(rows), float(n)), "beta0": np.array(beta0)}
-    ok = ~np.isnan(values["I"])
     rows = np.array(rows, dtype=int)
+    values = correlations(states) | {"n": np.full(len(rows), float(n))}
+    values |= {f"beta{k}": moments.values[rows, moments.ns.index(k)] for k in orders}
+    ok = ~np.isnan(values["I"])
     for col, name in enumerate(columns[1:], start=1):
         data[rows[ok], col] = values[name][ok]
     errors += [(int(i), "mutual information undefined: the state has a negative eigenvalue")
                for i in rows[~ok]]
     return SweepTable(columns=columns, data=data, errors=tuple(sorted(errors)))
+
+
+def measure_table(protocol: QuenchProtocol, n: int) -> SweepTable:
+    """One protocol's row: tau, n, the moments beta_0 .. beta_6 and the measures."""
+    return _run_rows(MEASURE_COLUMNS, [protocol.tau], [protocol], n)
 
 
 def sweep_tau(protocol: QuenchProtocol, n: int, tau_grid: Sequence[float]) -> SweepTable:

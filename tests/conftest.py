@@ -1,14 +1,15 @@
 """Shared fixtures: random state generators, the polar-axis closed form, the
 general measurement-search oracle, the dense 4x4 and single-mode oracles (the
-library measures X states and propagates all modes at once), the closed-form
-excitation probability and weak-coupling decoherence factor, and the
-acceptance-criterion report."""
+library measures X states and propagates all modes at once), the exact
+Landau-Zener decoherence factor, the closed-form excitation probability and
+weak-coupling decoherence factor, and the acceptance-criterion report."""
 
 from __future__ import annotations
 
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -172,6 +173,53 @@ def evolve_mode(k: float, branch: str, config, t_from: float, t_to: float, y) ->
     n_steps = max(math.ceil((t_to - t_from) / h - 1e-9), 0)
     y = np.asarray(y, dtype=complex)[:, None]
     return central._magnus(a0, b, a1, y, t_from, t_to, n_steps)[:, 0]
+
+
+def landau_zener_decoherence(config, dps: int = 30) -> np.ndarray:
+    """D at every config.t_grid time from the exact solution of every (mode, branch)
+    pair, evaluated with mpmath at `dps` digits.
+
+    A pair obeys i (u, v)' = (a sz + b sx) (u, v) with a = a1 s, s = t - t_c and
+    a1 = -2 / tau (`branch_hamiltonian`).  Eliminating v gives Weber's equation
+    u'' + (a1^2 s^2 + b^2 + i a1) u = 0, so u = c1 D_nu(kappa s) + c2 D_nu(-kappa s)
+    with kappa^2 = 2i a1 and nu = b^2 / (2i a1) (Zener, Proc. R. Soc. A 137, 696
+    (1932); Vitanov & Garraway, PRA 53, 4288 (1996)), and v = (i u' - a u) / b with
+    D_nu'(z) = z D_nu(z) / 2 - D_{nu+1}(z).  c1 and c2 are fitted to the ground
+    state at t_start (`initial_mode_state`).
+    """
+    n_modes = config.n_spins // 2
+    with mpmath.workdps(dps):
+        a1 = mpmath.mpf(-2) / config.tau
+        kappa = mpmath.sqrt(2j * a1)
+        states = []  # (u, v) per pair and time, the "+" branch's pairs first
+        for branch in ("+", "-"):
+            for k in central.mode_momenta(config.n_spins):
+                h0 = branch_hamiltonian(k, 0.0, branch, config)
+                a0, b = mpmath.mpf(h0[0, 0]), mpmath.mpf(h0[0, 1])
+                nu = b * b / (2j * a1)
+
+                def solutions(t):
+                    # columns: the two Weber solutions; rows: u and v
+                    s = t - (-a0 / a1)
+                    m = mpmath.matrix(2, 2)
+                    for col, sign in enumerate((1, -1)):
+                        z = sign * kappa * s
+                        d = mpmath.pcfd(nu, z)
+                        du = sign * kappa * (z * d / 2 - mpmath.pcfd(nu + 1, z))
+                        m[0, col], m[1, col] = d, (1j * du - a1 * s * d) / b
+                    return m
+
+                y0 = initial_mode_state(k, branch, config)
+                c = mpmath.lu_solve(solutions(mpmath.mpf(config.t_start)), mpmath.matrix(y0))
+                states.append([solutions(mpmath.mpf(t)) * c for t in config.t_grid])
+        out = []
+        for j in range(len(config.t_grid)):
+            d = mpmath.mpf(1)
+            for plus, minus in zip(states[:n_modes], states[n_modes:]):
+                p, q = plus[j], minus[j]
+                d *= abs(mpmath.conj(p[0]) * q[0] + mpmath.conj(p[1]) * q[1]) ** 2
+            out.append(float(d))
+    return np.array(out)
 
 
 def concurrence_werner(a: float, d: float) -> float:

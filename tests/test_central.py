@@ -3,7 +3,9 @@
 Oracles for the Magnus propagator: the matrix exponential of a frozen
 Hamiltonian, scipy's DOP853 at tight tolerance on a small chain swept through
 both critical points (also for fast sweeps, where the step must be refined)
-and over one step, and the sixth-order step-halving ratio.
+and over one step, the exact finite-time Landau-Zener solution in Weber
+functions (also at tau = 1e-3, where DOP853 drifts by 1e-9 and more), and the
+sixth-order step-halving ratio.
 """
 
 import math
@@ -30,6 +32,7 @@ from conftest import (
     evolve_mode,
     excitation_probability,
     initial_mode_state,
+    landau_zener_decoherence,
     weak_coupling_D,
 )
 from spinquench.kernels import QuenchProtocol
@@ -198,6 +201,23 @@ class TestMagnusPropagator:
         err = np.abs(d - oracle).max()
         assert 1e-10 < err <= ens.error_estimate <= 3.0 * err
         assert ens.error_estimate <= central.TOL
+
+    def test_trace_matches_exact_landau_zener_solution(self):
+        cfg = self.config()
+        exact = landau_zener_decoherence(cfg)
+        assert exact.min() < 0.5
+        tr = trace_run(cfg)
+        assert np.abs(tr.decoherence - exact).max() <= tr.error_estimate <= central.TOL
+
+    def test_fastest_sweep_matches_exact_solution(self):
+        # tau = 1e-3 from the smallest h_start allowed: about 4e3 radians of
+        # phase to t = 2, where DOP853 at rtol 1e-12 is off by 1.0e-9 and
+        # takes 4 times as long as this oracle and the trace together
+        cfg = self.config(tau=1e-3, delta=0.3, h_start=1.0 + 10.0 / math.sqrt(1e-3) + 1e-9,
+                          t_grid=(0.0, 2.0))
+        exact = landau_zener_decoherence(cfg)
+        assert exact.min() < 0.99
+        assert np.abs(trace_run(cfg).decoherence - exact).max() <= central.TOL
 
     def test_step_halving_sixth_order(self):
         d = [

@@ -1,8 +1,10 @@
 """CLI surface: CSV formats, exit codes, determinism, config files."""
 
 import os
+import runpy
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -210,6 +212,33 @@ class TestDecohere:
         assert code == 0
         assert [r[0] for r in parse_csv(out)[1]] == [0.0, 0.35, 0.7]
 
+    @pytest.mark.parametrize(
+        "t0,t1,dt", [("-3.3", "7.1", "0.07"), ("0.1", "9.9", "0.3")], ids=["149-times", "33-times"]
+    )
+    def test_script_observes_the_cli_grid(self, capsys, monkeypatch, tmp_path, t0, t1, dt):
+        # scripts/decoherence_trace.py and `decohere` hand trace_run the same
+        # times, which t0 + k dt and a running sum of dt do not always give
+        grids = []
+
+        class Recorded(Exception):
+            pass
+
+        def record(config):
+            grids.append(config.t_grid)
+            raise Recorded
+
+        flags = ["--n-spins", "8", "--delta", "0.01", "--tau", "10", "--t0", t0, "--t1", t1,
+                 "--dt", dt]
+        monkeypatch.setattr(central, "trace_run", record)
+        with pytest.raises(Recorded):
+            main(["decohere", *flags, "--a", "0.9"])
+        monkeypatch.setattr(spinquench, "trace_run", record)
+        script = Path(__file__).resolve().parents[1] / "scripts" / "decoherence_trace.py"
+        monkeypatch.setattr(sys, "argv", [str(script), *flags, "--outdir", str(tmp_path)])
+        with pytest.raises(Recorded):
+            runpy.run_path(str(script), run_name="__main__")
+        assert grids[0] == grids[1] == central.observation_grid(float(t0), float(t1), float(dt))
+
     def test_bad_grid(self, capsys):
         code, _, err = run_cli(
             capsys,
@@ -334,6 +363,24 @@ class TestExitCodes:
         assert len(rows) == 3
         assert np.isnan(rows[1][header.index("Q")])
         assert np.isfinite(rows[0][header.index("Q")])
+
+    def test_failed_measures_row_is_written_and_exits_3(self, capsys, monkeypatch):
+        # measures runs the sweeps' rows: a state with a negative eigenvalue
+        # fails its row as in a sweep, it is no configuration error
+        import spinquench.scaling as scaling
+        from spinquench.xstate import XStateDensityMatrix
+
+        bad = XStateDensityMatrix(a_plus=0.3, a_minus=0.3, a_zero=0.2, b2=0.2 + 5e-10)
+        monkeypatch.setattr(scaling, "state_from_betas", lambda betas, n: bad)
+        code, out, err = run_cli(
+            capsys, "measures", "--protocol", "ising", "--gamma", "1", "--tau", "5", "--n", "2"
+        )
+        assert code == 3
+        header, rows = parse_csv(out)
+        assert header == ["tau", "n", "beta0", "beta2", "beta4", "beta6", "I", "C", "Q", "Cnc"]
+        assert len(rows) == 1 and rows[0][0] == 5.0
+        assert all(np.isnan(rows[0][header.index(c)]) for c in ("I", "C", "Q"))
+        assert "numerical failure: row 0 failed" in err
 
     def test_unresolvable_moment_exits_3(self, capsys):
         # past the midpoint rule's node cap

@@ -16,7 +16,7 @@ from scipy.special import ive
 
 import spinquench.kernels as kernels
 from spinquench.kernels import (
-    BetaSet,
+    MomentTable,
     ProtocolKind,
     QuadratureError,
     QuenchProtocol,
@@ -222,16 +222,22 @@ class TestBetaN:
 class TestComputeBetas:
     def test_betaset_contents(self):
         betas = compute_betas(QuenchProtocol.ising(1.0, 2.0), n_max=6)
-        assert set(betas.values) == {0, 2, 4, 6}
+        assert set(betas) == {0, 2, 4, 6}
         assert betas[0] == beta_n(QuenchProtocol.ising(1.0, 2.0), 0)
 
     def test_betaset_validation(self):
-        with pytest.raises(ValueError):
-            BetaSet(n_max=3, values={0: 0.5, 2: 0.1})
-        with pytest.raises(ValueError):
-            BetaSet(n_max=2, values={0: 0.1, 2: 0.5})
-        with pytest.raises(ValueError):
-            BetaSet(n_max=2, values={0: 1.2, 2: 0.1})
+        with pytest.raises(ValueError, match="even"):
+            compute_betas(QuenchProtocol.ising(1.0, 2.0), n_max=3)
+
+        def table_row(b0, b2):
+            proto = QuenchProtocol.ising(1.0, 2.0)
+            return MomentTable((proto,), (0, 2), np.array([[b0, b2]]), np.zeros((1, 2)), (0,))
+
+        assert table_row(0.5, 0.1).betas(0) == {0: 0.5, 2: 0.1}
+        with pytest.raises(ValueError, match="exceeds beta_0"):
+            table_row(0.1, 0.5).betas(0)
+        with pytest.raises(ValueError, match="outside"):
+            table_row(1.2, 0.1).betas(0)
 
 
 class TestDefectDensity:
