@@ -16,7 +16,6 @@ from .xstate import (
     MeasurementBasis,
     XStateDensityMatrix,
     classical_correlation,
-    concurrence_wootters,
     concurrence_xstate,
     discord,
     mutual_information,
@@ -37,7 +36,6 @@ __all__ = [
     "classical_correlation",
     "closed_form_C_n2",
     "closed_form_I_n2",
-    "concurrence_wootters",
     "concurrence_xstate",
     "correlators",
     "defect_density",

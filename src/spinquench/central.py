@@ -129,8 +129,8 @@ class CentralConfig:
 
 
 def observation_grid(t0: float, t1: float, dt: float) -> tuple[float, ...]:
-    """Times t0 + k dt up to t1, never past it beyond roundoff of 1e-9 dt;
-    t0 < t1 finite and dt > 0."""
+    """The observation times of `spinquench decohere`: t0 + k dt up to t1,
+    never past it beyond roundoff of 1e-9 dt; t0 < t1 finite and dt > 0."""
     span = t1 - t0
     if not (dt > 0.0 and 0.0 < span < math.inf):
         raise ValueError("need finite t0 < t1 and dt > 0")

@@ -2,14 +2,14 @@
 
 Subcommands: measures, sweep, fit, decohere.  Each subparser names its
 command (`run`), which reads argparse's namespace, checks it and builds its
-own protocol, grid or `CentralConfig`.  measures is the one-row table of the
-sweeps' own pipeline (`scaling.measure_table`), and both print through
-`_write_table`: a failed row is written as NaNs, listed on stderr as
-`numerical failure: row i failed: ...`, and makes the exit code 3.  Output
-goes to --output or stdout, diagnostics to stderr.  Exit codes: 0 success,
-2 invalid configuration, 3 numerical failure.  Reruns produce byte-identical
-CSV for a fixed configuration; sweep's --workers is accepted but has no
-effect.
+own protocol, grid or `CentralConfig`s.  measures is the one-row table of the
+sweeps' own pipeline (`scaling.measure_table`); both print through
+`_write_table`: a failed row keeps its inputs with NaN values, is listed on
+stderr as `numerical failure: row i failed: ...`, and makes the exit code 3.
+decohere marches once and measures every Werner weight of --a on that D(t).
+Output goes to --output or stdout, diagnostics to stderr.  Exit codes: 0
+success, 2 invalid configuration, 3 numerical failure.  Reruns give
+byte-identical CSV; sweep's --workers is accepted but has no effect.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import numpy as np
 
 from . import central, scaling
 from .kernels import QuadratureError, QuenchProtocol
+from .xstate import correlations
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -47,7 +48,7 @@ def _write_csv(path: str | None, header: list[str], rows: list[list]) -> None:
 def _write_table(path: str | None, table: scaling.SweepTable) -> int:
     """Write a table's rows (n as an integer) and report its failed rows: exit 3 if any."""
     rows = [
-        [int(v) if name == "n" and np.isfinite(v) else v for name, v in zip(table.columns, row)]
+        [int(v) if name == "n" else v for name, v in zip(table.columns, row)]
         for row in table.data
     ]
     _write_csv(path, list(table.columns), rows)
@@ -135,24 +136,24 @@ def cmd_fit(args) -> int:
 
 
 def cmd_decohere(args) -> int:
-    trace = central.trace_run(
-        central.CentralConfig(
-            n_spins=args.n_spins,
-            delta=args.delta,
-            tau=args.tau,
-            a=args.a,
-            gamma=args.gamma,
-            h_start=args.h_start,
-            t_grid=central.observation_grid(args.t0, args.t1, args.dt),
-        )
-    )
-    rows = [
-        [t, h, d, q, c]
-        for t, h, d, q, c in zip(
-            trace.t, trace.h, trace.decoherence, trace.discord, trace.concurrence
-        )
+    names = [f"{a:g}" for a in args.a]
+    if len(set(names)) < len(names):
+        raise ValueError(f"--a repeats a Werner weight: {' '.join(names)}")
+    t_grid = central.observation_grid(args.t0, args.t1, args.dt)
+    configs = [
+        central.CentralConfig(n_spins=args.n_spins, delta=args.delta, tau=args.tau, a=a,
+                              gamma=args.gamma, h_start=args.h_start, t_grid=t_grid)
+        for a in args.a
     ]
-    _write_csv(args.output, ["t", "h", "D", "Q", "Cnc"], rows)
+    # D does not depend on the Werner weight: one march serves every weight
+    trace = central.trace_run(configs[0])
+    header, columns = ["t", "h", "D"], [trace.t, trace.h, trace.decoherence]
+    for config, name in zip(configs, names):
+        measured = correlations([central.qubit_state(config.a, d) for d in trace.decoherence])
+        suffix = f"_a{name}" if len(configs) > 1 else ""
+        header += [f"Q{suffix}", f"Cnc{suffix}"]
+        columns += [measured["Q"], measured["Cnc"]]
+    _write_csv(args.output, header, list(zip(*columns)))
     print(
         f"adiabatic: {trace.adiabatic_steps} steps to t = {trace.handoff:g}; "
         f"magnus: {trace.steps} steps of at most {trace.step:g}, "
@@ -231,7 +232,8 @@ def _make_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-spins", type=int, required=True, help="environment size N")
     p.add_argument("--delta", type=float, required=True, help="qubit-environment coupling")
     p.add_argument("--tau", type=float, required=True)
-    p.add_argument("--a", type=float, required=True, help="Werner weight")
+    p.add_argument("--a", type=float, nargs="+", required=True,
+                   help="Werner weights: Q_a<a>, Cnc_a<a> columns for each when several")
     p.add_argument("--gamma", type=float, default=1.0)
     p.add_argument("--h-start", type=float, default=10.0)
     p.add_argument("--t0", type=float, required=True, help="first observation time")

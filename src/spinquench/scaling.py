@@ -7,7 +7,7 @@ the one-row table of a single protocol, with its moments beta_0 .. beta_6.
 tables come from `_run_rows`: the moments of all rows from one kernel call
 (`moment_table`), each row's X state built from them in grid order, and
 `xstate.correlations` measuring all of the states in one call.  A row that
-fails holds NaNs and is listed in the table's errors.
+fails keeps its inputs, holds NaN values and is listed in the table's errors.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ MEASURE_COLUMNS = ("tau", "n", "beta0", "beta2", "beta4", "beta6", "I", "C", "Q"
 class SweepTable:
     """Grid-ordered sweep results: one abscissa column plus value columns.
 
-    Rows whose computation failed hold NaNs and are listed in `errors`
-    as (row_index, message).
+    Rows whose computation failed hold NaN values (the abscissa and n stay)
+    and are listed in `errors` as (row_index, message).
     """
 
     columns: tuple[str, ...]
@@ -87,11 +87,13 @@ def _run_rows(columns, grid, protocols, n) -> SweepTable:
     the kernel's tolerance, or whose state fails, holds NaNs and is listed in
     the errors while the others go on.  `xstate.correlations` then measures
     the built states in one call; a state it marks failed (NaN I) fails its
-    row alone.  Its result fills the value columns by name; n and every
-    `beta{k}` come from the moments.
+    row alone.  Its result and the moments fill the value columns by name;
+    the inputs, the abscissa and n, are written on failed rows too.
     """
     data = np.full((len(grid), len(columns)), np.nan)
     data[:, 0] = grid
+    if "n" in columns:
+        data[:, columns.index("n")] = n
     errors = []
     orders = [int(name[4:]) for name in columns if name.startswith("beta")]
     moments = moment_table(protocols, range(0, max([n, *orders]) + 1, 2))
@@ -103,11 +105,12 @@ def _run_rows(columns, grid, protocols, n) -> SweepTable:
         except Exception as exc:  # noqa: BLE001 - row failures are data
             errors.append((i, str(exc)))
     rows = np.array(rows, dtype=int)
-    values = correlations(states) | {"n": np.full(len(rows), float(n))}
+    values = correlations(states)
     values |= {f"beta{k}": moments.values[rows, moments.ns.index(k)] for k in orders}
     ok = ~np.isnan(values["I"])
-    for col, name in enumerate(columns[1:], start=1):
-        data[rows[ok], col] = values[name][ok]
+    for col, name in enumerate(columns):
+        if name not in (columns[0], "n"):
+            data[rows[ok], col] = values[name][ok]
     errors += [(int(i), "mutual information undefined: the state has a negative eigenvalue")
                for i in rows[~ok]]
     return SweepTable(columns=columns, data=data, errors=tuple(sorted(errors)))

@@ -123,7 +123,8 @@ class TestSweepTau:
         t = sweep_tau(QuenchProtocol.ising(1.0, 1.0), 2, grid)
         assert [i for i, _ in t.errors] == [1]
         assert "negative eigenvalue" in t.errors[0][1]
-        assert np.isnan(t.data[1, 1:]).all()
+        # the inputs stay: tau and n; every value is NaN
+        assert t.data[1, 1] == 2 and np.isnan(t.data[1, 2:]).all()
         monkeypatch.undo()
         clean = sweep_tau(QuenchProtocol.ising(1.0, 1.0), 2, grid)
         assert t.data[[0, 2]].tobytes() == clean.data[[0, 2]].tobytes()
@@ -137,7 +138,7 @@ class TestSweepTau:
         t = sweep_tau(proto, 2, grid)
         assert [i for i, _ in t.errors] == [3]
         assert "midpoint nodes" in t.errors[0][1]
-        assert t.data[3, 0] == 1e14 and np.isnan(t.data[3, 1:]).all()
+        assert t.data[3, 0] == 1e14 and t.data[3, 1] == 2 and np.isnan(t.data[3, 2:]).all()
         assert t.data[:3].tobytes() == sweep_tau(proto, 2, grid[:3]).data.tobytes()
 
     def test_each_moment_computed_once_per_row(self, monkeypatch):

@@ -1,5 +1,5 @@
 """The benchmark still finds every program name it wraps or reads, and the
-experiment scripts still run.
+figure script still runs.
 
 bench/tracing.py replaces the names in its LOOKUPS table with recording
 wrappers and raises if one no longer exists; a renamed `trace_run` or
@@ -13,6 +13,7 @@ reads fields of the trace it times; those are checked from the source.
 
 import ast
 import dataclasses
+import importlib.util
 import os
 import subprocess
 import sys
@@ -21,23 +22,16 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# each script of scripts/ at small arguments, and the CSVs it writes
-SCRIPTS = {
-    "ising_discord_scaling.py": (
-        ["--points", "12"],
-        ["ising_sweep_n2.csv", "ising_sweep_n4.csv", "ising_sweep_n6.csv"],
-    ),
-    "multicritical_scaling.py": (["--points", "9"], ["multicritical_sweep_n2.csv"]),
-    "three_spin_scan.py": (
-        ["--taus", "2", "10", "--j3-values", "0.5", "--j3-points", "11"],
-        ["three_spin_vs_j3_tau2.csv", "three_spin_vs_j3_tau10.csv", "three_spin_vs_tau_j30.5.csv"],
-    ),
-    "decoherence_trace.py": (
-        ["--n-spins", "20", "--delta", "0.05", "--tau", "2", "--a", "0.5", "0.9",
-         "--t0", "-2", "--t1", "2", "--dt", "1"],
-        ["decoherence_delta0.05_a0.5.csv", "decoherence_delta0.05_a0.9.csv"],
-    ),
-}
+# every CSV scripts/figures.py writes: 10 sweeps, the Q and beta0 fits of
+# the Ising and multicritical sweeps, and one trace with three Werner weights
+FIGURE_CSVS = sorted(
+    [f"ising_sweep_n{n}.csv" for n in (2, 4, 6)]
+    + [f"ising_fit_n{n}_{c}.csv" for n in (2, 4, 6) for c in ("Q", "beta0")]
+    + ["multicritical_sweep_n2.csv", "multicritical_fit_n2_Q.csv", "multicritical_fit_n2_beta0.csv"]
+    + [f"three_spin_vs_j3_tau{t}.csv" for t in (2, 10, 50)]
+    + [f"three_spin_vs_tau_j3{j}.csv" for j in (0.2, 0.5, 0.8)]
+    + ["decoherence_delta0.01.csv"]
+)
 
 PROBE = """
 import tracing
@@ -109,17 +103,36 @@ def test_trace_fields_read_by_the_benchmark_exist():
 
 
 def test_scripts_run(tmp_path):
-    # a script that imports a name the library no longer has fails here, not
-    # only when someone next regenerates the figure data
+    # a call the CLI no longer takes fails here, not only when someone next
+    # regenerates the figure data; every file is the CLI's own output
+    from spinquench.cli import main
+
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    for script, (args, csvs) in SCRIPTS.items():
-        outdir = tmp_path / script.removesuffix(".py")
-        run = subprocess.run(
-            [sys.executable, str(ROOT / "scripts" / script), *args, "--outdir", str(outdir)],
-            env=env, capture_output=True, text=True, timeout=300,
-        )
-        assert run.returncode == 0, f"{script}: {run.stderr}"
-        assert sorted(p.name for p in outdir.glob("*.csv")) == sorted(csvs), script
-        for name in csvs:
-            text = (outdir / name).read_text()
-            assert len(text.splitlines()) > 1 and "nan" not in text.lower(), name
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "figures.py"), str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == FIGURE_CSVS
+    for name in FIGURE_CSVS:
+        text = (tmp_path / name).read_text()
+        assert len(text.splitlines()) > 1 and "nan" not in text.lower(), name
+    sweep = tmp_path / "sweep.csv"
+    assert main(["sweep", "--protocol", "ising", "--gamma", "1", "--n", "2", "--tau-min", "0.1",
+                 "--tau-max", "1e4", "--tau-points", "48", "--output", str(sweep)]) == 0
+    assert sweep.read_bytes() == (tmp_path / "ising_sweep_n2.csv").read_bytes()
+
+
+def test_figures_stop_at_the_first_failed_call(tmp_path, monkeypatch):
+    spec = importlib.util.spec_from_file_location("figures", ROOT / "scripts" / "figures.py")
+    figures = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(figures)
+    codes, calls = iter([0, 0, 3]), []
+
+    def fake(argv):
+        calls.append(argv)
+        return next(codes)
+
+    monkeypatch.setattr(figures, "spinquench", fake)
+    assert figures.main(str(tmp_path)) == 3
+    assert calls == figures.calls(tmp_path)[:3]
