@@ -6,10 +6,10 @@ own protocol, grid or `CentralConfig`s.  measures is the one-row table of the
 sweeps' own pipeline (`scaling.measure_table`); both print through
 `_write_table`: a failed row keeps its inputs with NaN values, is listed on
 stderr as `numerical failure: row i failed: ...`, and makes the exit code 3.
-decohere marches once and measures every Werner weight of --a on that D(t).
-Output goes to --output or stdout, diagnostics to stderr.  Exit codes: 0
-success, 2 invalid configuration, 3 numerical failure.  Reruns give
-byte-identical CSV; sweep's --workers is accepted but has no effect.
+decohere marches once, which measures the first Werner weight of --a; the
+others are measured on that D(t).  Output goes to --output or stdout,
+diagnostics to stderr.  Exit codes: 0 success, 2 invalid configuration, 3
+numerical failure.  Reruns give byte-identical CSV; --workers has no effect.
 """
 
 from __future__ import annotations
@@ -94,6 +94,8 @@ def cmd_sweep(args) -> int:
     has_tau_grid = args.tau_min is not None or args.tau_max is not None
     if has_j3_grid and has_tau_grid:
         raise ValueError("choose one abscissa: a tau grid or a j3 grid")
+    if (has_j3_grid and args.j3 is not None) or (has_tau_grid and args.tau is not None):
+        raise ValueError("the grid supplies its abscissa: drop --j3 or --tau")
     if has_j3_grid:
         if args.protocol != "three-spin":
             raise ValueError("a j3 grid requires --protocol three-spin")
@@ -104,7 +106,6 @@ def cmd_sweep(args) -> int:
         if args.j3_max <= args.j3_min or args.j3_points < 2:
             raise ValueError("bad j3 grid spec")
         j3_grid = list(np.linspace(args.j3_min, args.j3_max, args.j3_points))
-        args.j3 = None  # grid supplies it
         table = scaling.sweep_j3(_build_protocol(args).tau, args.n, j3_grid)
     elif has_tau_grid:
         if args.tau_min is None or args.tau_max is None:
@@ -148,8 +149,10 @@ def cmd_decohere(args) -> int:
     # D does not depend on the Werner weight: one march serves every weight
     trace = central.trace_run(configs[0])
     header, columns = ["t", "h", "D"], [trace.t, trace.h, trace.decoherence]
+    measured = {"Q": trace.discord, "Cnc": trace.concurrence}  # trace_run measured configs[0]
     for config, name in zip(configs, names):
-        measured = correlations([central.qubit_state(config.a, d) for d in trace.decoherence])
+        if config is not configs[0]:
+            measured = correlations([central.qubit_state(config.a, d) for d in trace.decoherence])
         suffix = f"_a{name}" if len(configs) > 1 else ""
         header += [f"Q{suffix}", f"Cnc{suffix}"]
         columns += [measured["Q"], measured["Cnc"]]

@@ -8,15 +8,13 @@ the benchmark reads them, and the tests use them as oracles.  All entropies
 are in bits with the 0 log 0 = 0 convention.
 
 The classical correlation maximizes the information a projective measurement
-on qubit B yields about qubit A, over the full Bloch sphere of measurement
-directions; discord is mutual information minus that maximum.  For an X
-state the best azimuth is known in closed form, so the search is over the
-polar angle alone.  That search runs over a whole batch of states in one
-array pass (`classical_correlations`), and `correlations` gives every
-measure of a batch in one call: the sweeps, the central-qubit trace and
-`quench.measure_state` all read it, and it alone clamps C <= I and Q >= 0
-and marks failed states.  The single-state functions are batches of one,
-and a state's result does not depend on the rest of its batch.
+on qubit B yields about qubit A; discord is mutual information minus it.  For
+an X state the best azimuth has a closed form, so the search is over the polar
+angle alone.  `correlations`, which the sweeps, the central-qubit trace and
+`quench` call, reads each state once (`_fields`) and takes every measure as an
+array pass over that read.  One failure rule covers I, C and Q: a state with
+an eigenvalue below -`_EIG_CLAMP` or |z| > 1 gets NaN there and moves no
+other state; the single-state functions, batches of one, raise ValueError on it.
 """
 
 from __future__ import annotations
@@ -195,40 +193,6 @@ def subsystem_entropy(c4):
     return float(s) if s.ndim == 0 else s
 
 
-def _require_xstates(states, what: str):
-    for rho in states:
-        if not isinstance(rho, XStateDensityMatrix):
-            raise ValueError(f"{what} needs an XStateDensityMatrix, got {type(rho).__name__}")
-
-
-def mutual_informations(states: list[XStateDensityMatrix]) -> np.ndarray:
-    """I = s(rho_A) + s(rho_B) - s(rho) in bits of every X state, in one array pass.
-
-    Both qubits of an X state have polarization <sz> = a_plus - a_minus.  A
-    state with an eigenvalue below -`_EIG_CLAMP` (or a polarization beyond
-    1) gets NaN, and only that state; every other entry is what the state
-    gives on its own.
-    """
-    _require_xstates(states, "mutual_informations")
-    eigs = np.array([s.eigenvalues() for s in states], dtype=float).reshape(-1, 4)
-    z = np.array([s.a_plus - s.a_minus for s in states], dtype=float)
-    joint = -np.sum(_xlog2(eigs), axis=1)
-    val = 2.0 * _polarization_entropy(z) - joint
-    bad = np.any(eigs < -_EIG_CLAMP, axis=1) | (np.abs(z) > 1.0 + 1e-12)
-    return np.where(bad, np.nan, np.where(0.0 > val, 0.0, val))
-
-
-def mutual_information(rho: XStateDensityMatrix) -> float:
-    """I = s(rho_A) + s(rho_B) - s(rho) in bits: a batch of one of `mutual_informations`.
-
-    Dense matrices are rejected.
-    """
-    val = float(mutual_informations([rho])[0])
-    if math.isnan(val):
-        raise ValueError(f"eigenvalue below -{_EIG_CLAMP}: {rho.eigenvalues().min()}")
-    return val
-
-
 def conditional_entropy(rho, theta: float, phi: float) -> float:
     """Average post-measurement entropy of qubit A, measuring B along (theta, phi).
 
@@ -342,79 +306,92 @@ def _best_phi(state: XStateDensityMatrix) -> float:
     return (cmath.phase(state.b2) - cmath.phase(state.b1)) / 2.0 % math.pi
 
 
-def classical_correlations(
-    states: list[XStateDensityMatrix],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Classical correlation of every X state in `states`, in one array pass.
+def _fields(states: list[XStateDensityMatrix]) -> dict[str, np.ndarray]:
+    """Every X state read once, as arrays: "a_plus", "a_minus", "a_zero", the
+    moduli "b1", "b2", "eigs" (as `eigenvalues()`), the polarization "z", the
+    best azimuth "phi", and "bad", the failure rule: an eigenvalue below
+    -`_EIG_CLAMP` or |z| > 1 + 1e-12.  Dense matrices are rejected."""
+    for rho in states:
+        if not isinstance(rho, XStateDensityMatrix):
+            raise ValueError(f"X-state measures need an XStateDensityMatrix, got {type(rho).__name__}")
+    # |b|, the outer half-gap and phi from libm per state, as `eigenvalues()`
+    # has them: numpy's abs and hypot round differently in the last bit
+    a_plus, a_minus, a_zero, b1, b2, gap, phi = np.array([
+        (s.a_plus, s.a_minus, s.a_zero, abs(s.b1), abs(s.b2),
+         math.hypot(0.5 * (s.a_plus - s.a_minus), abs(s.b1)), _best_phi(s)) for s in states
+    ], dtype=float).reshape(-1, 7).T
+    mean, z = 0.5 * (a_plus + a_minus), a_plus - a_minus
+    eigs = np.stack([mean + gap, mean - gap, a_zero + b2, a_zero - b2], axis=1)
+    bad = np.any(eigs < -_EIG_CLAMP, axis=1) | (np.abs(z) > 1.0 + 1e-12)
+    return {"a_plus": a_plus, "a_minus": a_minus, "a_zero": a_zero, "b1": b1, "b2": b2,
+            "eigs": eigs, "z": z, "phi": phi, "bad": bad}
 
-    For an X state the best azimuth phi has a closed form (`_best_phi`), and
-    what is left depends on c = cos(theta) alone; theta and pi - theta are the
-    same measurement, so c runs over [0, 1] (`_best_cos_theta`, which searches
-    all states at once).  Returns arrays (value in bits, theta, phi) with one
-    entry per state; each entry is what the state gives in a batch of its
-    own.  Dense matrices are rejected.
-    """
-    _require_xstates(states, "classical_correlation")
-    z = np.array([s.a_plus - s.a_minus for s in states], dtype=float)
-    zz = np.array([s.a_plus + s.a_minus - 2.0 * s.a_zero for s in states], dtype=float)
-    t = np.array([2.0 * (abs(s.b1) + abs(s.b2)) for s in states], dtype=float)
-    c_best, s_min = _best_cos_theta(z, zz, t)
-    value = subsystem_entropy(z) - s_min
-    # theta and phi from libm per state: numpy's SIMD arccos and angle round
-    # differently in the last bit
+
+def _one(rho: XStateDensityMatrix) -> dict[str, np.ndarray]:
+    """`_fields` of a batch of one; a state the failure rule marks raises ValueError."""
+    f = _fields([rho])
+    if f["bad"][0]:
+        raise ValueError(f"eigenvalue below -{_EIG_CLAMP} or |z| above 1: {f['eigs'][0]}, z = {f['z'][0]}")
+    return f
+
+
+def _mutual(f: dict[str, np.ndarray]) -> np.ndarray:
+    """I = s(rho_A) + s(rho_B) - s(rho) in bits; both qubits have polarization z."""
+    joint = -np.sum(_xlog2(f["eigs"]), axis=1)
+    val = 2.0 * _polarization_entropy(f["z"]) - joint
+    return np.where(f["bad"], np.nan, np.where(0.0 > val, 0.0, val))
+
+
+def mutual_information(rho: XStateDensityMatrix) -> float:
+    """I = s(rho_A) + s(rho_B) - s(rho) in bits of one X state."""
+    return float(_mutual(_one(rho))[0])
+
+
+def _classical(f: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """(C in bits, theta).  phi is closed-form (`_best_phi`) and theta ~ pi - theta,
+    so `_best_cos_theta` searches c = cos(theta) in [0, 1], all states at once."""
+    zz = f["a_plus"] + f["a_minus"] - 2.0 * f["a_zero"]
+    c_best, s_min = _best_cos_theta(f["z"], zz, 2.0 * (f["b1"] + f["b2"]))
+    value = _polarization_entropy(f["z"]) - s_min
+    # theta from libm per state: numpy's SIMD arccos rounds differently
     theta = np.array([math.acos(c) for c in c_best], dtype=float)
-    phi = np.array([_best_phi(s) for s in states], dtype=float)
-    return np.where(value < 0.0, 0.0, value), theta, phi
+    return np.where(f["bad"], np.nan, np.where(value < 0.0, 0.0, value)), theta
 
 
 def classical_correlation(rho: XStateDensityMatrix) -> tuple[float, MeasurementBasis]:
-    """Maximal information about A extractable by a projective measurement on B.
-
-    A batch of one of `classical_correlations`: the value in bits and the
-    maximizing basis.
-    """
-    value, theta, phi = classical_correlations([rho])
-    return float(value[0]), MeasurementBasis(float(theta[0]), float(phi[0]))
+    """Maximal information about A extractable by a projective measurement on
+    B: the search's value in bits (not clamped to I) and its basis."""
+    f = _one(rho)
+    value, theta = _classical(f)
+    return float(value[0]), MeasurementBasis(float(theta[0]), float(f["phi"][0]))
 
 
-def concurrences(states: list[XStateDensityMatrix]) -> np.ndarray:
-    """Concurrence of every X state from the closed form
-    max{0, 2(|b2| - sqrt(a_plus a_minus)), 2(|b1| - a_zero)}, in one array pass.
-
-    The maxima keep Python's `max` order and tie rule, so each entry is the
-    one `concurrence_xstate` gives the state on its own.
-    """
-    _require_xstates(states, "concurrences")
-    a_plus = np.array([s.a_plus for s in states], dtype=float)
-    a_minus = np.array([s.a_minus for s in states], dtype=float)
-    a_zero = np.array([s.a_zero for s in states], dtype=float)
-    # |b| per state from Python's complex abs: numpy's rounds differently
-    b1 = np.array([abs(s.b1) for s in states], dtype=float)
-    b2 = np.array([abs(s.b2) for s in states], dtype=float)
-    prod = a_plus * a_minus
-    inner = 2.0 * (b2 - np.sqrt(np.where(0.0 > prod, 0.0, prod)))
-    outer = 2.0 * (b1 - a_zero)
+def _concurrence(f: dict[str, np.ndarray]) -> np.ndarray:
+    """max{0, 2(|b2| - sqrt(a_plus a_minus)), 2(|b1| - a_zero)} in Python's `max` order."""
+    prod = f["a_plus"] * f["a_minus"]
+    inner = 2.0 * (f["b2"] - np.sqrt(np.where(0.0 > prod, 0.0, prod)))
+    outer = 2.0 * (f["b1"] - f["a_zero"])
     best = np.where(inner > 0.0, inner, 0.0)
     return np.where(outer > best, outer, best)
 
 
 def concurrence_xstate(state: XStateDensityMatrix) -> float:
-    """Concurrence of one X state: a batch of one of `concurrences`."""
-    return float(concurrences([state])[0])
+    """Concurrence of one X state from the closed form."""
+    return float(_concurrence(_one(state))[0])
 
 
 def correlations(states: list[XStateDensityMatrix]) -> dict[str, np.ndarray]:
     """Every measure of every X state, keyed by CSV column: "I", "C", "Q",
     "Cnc", and the maximizing basis "theta", "phi".
 
-    The one place that clamps and decides failures.  C = min(C, I) and
-    Q = max(I - C, 0), with Python's `min`/`max` tie rule per state (so a
-    -0.0 stays where they keep it); a state with an eigenvalue below
-    -`_EIG_CLAMP` gets NaN in I, C and Q, and only there.  C above I by more
-    than 1e-9 is an optimizer bug and raises RuntimeError.
-    """
-    i = mutual_informations(states)
-    c, theta, phi = classical_correlations(states)
+    One read of each state (`_fields`), then one array pass per measure.  The
+    one place that clamps: C = min(C, I) and Q = max(I - C, 0), with Python's
+    tie rule per state.  A state the failure rule marks gets NaN in I, C and
+    Q, and only there.  C above I by more than 1e-9 is an optimizer bug and
+    raises RuntimeError."""
+    f = _fields(states)
+    i = _mutual(f)
+    c, theta = _classical(f)
     q = i - c
     if np.any(q < -1e-9):
         k = int(np.argmax(q < -1e-9))
@@ -422,16 +399,14 @@ def correlations(states: list[XStateDensityMatrix]) -> dict[str, np.ndarray]:
     return {
         # min(c, i) keeps c unless i < c; a NaN i (failed state) is kept too
         "I": i, "C": np.where(c <= i, c, i), "Q": np.where(0.0 > q, 0.0, q),
-        "Cnc": concurrences(states), "theta": theta, "phi": phi,
+        "Cnc": _concurrence(f), "theta": theta, "phi": f["phi"],
     }
 
 
 def discord(rho) -> float:
     """Quantum discord Q = I - C in bits (measurement on B): a batch of one of `correlations`."""
-    val = float(correlations([rho])["Q"][0])
-    if math.isnan(val):
-        raise ValueError(f"eigenvalue below -{_EIG_CLAMP}: {rho.eigenvalues().min()}")
-    return val
+    _one(rho)
+    return float(correlations([rho])["Q"][0])
 
 
 _SYSY = np.array(

@@ -45,6 +45,15 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_line(line)
 
 
+# Two states that pass the constructor's checks but that the measures' failure
+# rule marks.  a0 - |b2| = -1e-10: inside the constructor's 1e-9 positivity
+# slack, below the entropy's -1e-12 eigenvalue clamp.
+NEGATIVE_EIGENVALUE = XStateDensityMatrix(a_plus=0.3, a_minus=0.3, a_zero=0.2, b2=0.2 + 1e-10)
+# z = a_plus - a_minus = 1 + 5e-11: inside the constructor's 1e-10 trace
+# slack, beyond the polarization bound 1 + 1e-12; no eigenvalue is negative.
+POLARIZATION_OVERSHOOT = XStateDensityMatrix(a_plus=1.0 + 5e-11, a_minus=0.0, a_zero=0.0)
+
+
 def random_x_state(rng: np.random.Generator) -> XStateDensityMatrix:
     """A positive X state with random populations, coherences, and phases."""
     w = rng.dirichlet(np.ones(4))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import spinquench
-from spinquench import central
+from spinquench import central, cli
 from spinquench.cli import main
 
 
@@ -137,6 +137,21 @@ class TestSweep:
         assert code == 2
         assert "three-spin" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--protocol", "ising", "--tau", "5", "--tau-min", "1", "--tau-max", "10"),
+            ("--protocol", "three-spin", "--j3", "0.3", "--tau", "10",
+             "--j3-min", "0", "--j3-max", "1"),
+        ],
+        ids=["tau-with-tau-grid", "j3-with-j3-grid"],
+    )
+    def test_fixed_abscissa_with_its_grid_rejected(self, capsys, argv):
+        # the grid supplies the abscissa, so a fixed value of it would be ignored
+        code, out, err = run_cli(capsys, "sweep", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+
     def test_missing_grid(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--protocol", "ising", "--gamma", "1")
         assert code == 2
@@ -223,6 +238,21 @@ class TestDecohere:
         assert code == 0
         assert marches == [0.3]
         assert out.split("\n")[0] == "t,h,D,Q_a0.3,Cnc_a0.3,Q_a0.9,Cnc_a0.9"
+
+    @pytest.mark.parametrize("weights, passes", [(("0.9",), 0), (("0.3", "0.9"), 1)])
+    def test_first_weight_measured_by_the_march_alone(self, capsys, monkeypatch, weights, passes):
+        # trace_run measures the first weight; cli measures each other weight once
+        calls = []
+        real = cli.correlations
+
+        def counted(states):
+            calls.append(len(states))
+            return real(states)
+
+        monkeypatch.setattr(cli, "correlations", counted)
+        code, _, _ = run_cli(capsys, *DECOHERE, "--a", *weights)
+        assert code == 0
+        assert len(calls) == passes
 
     def test_each_weight_matches_its_one_weight_run(self, capsys):
         # byte for byte: the shared t, h, D cells and each weight's Q and Cnc

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import NEGATIVE_EIGENVALUE
 import spinquench.kernels as kernels
 import spinquench.scaling as scaling
 from spinquench.kernels import QuenchProtocol
@@ -109,8 +110,6 @@ class TestSweepTau:
     def test_negative_eigenvalue_fails_only_its_own_row(self, monkeypatch):
         # the batched measures give NaN for that state alone, and its row
         # is listed as failed
-        from test_xstate import NEGATIVE_EIGENVALUE
-
         calls = {"count": 0}
         real = scaling.state_from_betas
 

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    NEGATIVE_EIGENVALUE,
+    POLARIZATION_OVERSHOOT,
     assert_matches_oracle,
     basis_value,
     basis_vectors,
@@ -30,15 +32,12 @@ from spinquench.xstate import (
     XStateDensityMatrix,
     build_xstate,
     classical_correlation,
-    classical_correlations,
     concurrence_wootters,
     concurrence_xstate,
-    concurrences,
     conditional_entropy,
     correlations,
     discord,
     mutual_information,
-    mutual_informations,
     subsystem_entropy,
 )
 
@@ -336,9 +335,12 @@ def loop_best_cos_theta(state) -> tuple[float, float]:
     return float(grid[end]), float(grid_vals[end])
 
 
-def batch_of_one(state):
-    value, theta, phi = classical_correlations([state])
-    return value[0], theta[0], phi[0]
+KEYS = ("I", "C", "Q", "Cnc", "theta", "phi")
+
+
+def rows(got) -> np.ndarray:
+    """The six arrays of `correlations`, one row per state."""
+    return np.column_stack([got[key] for key in KEYS])
 
 
 def same_bits(a, b) -> bool:
@@ -350,57 +352,57 @@ class TestBatchInvariance:
 
     def test_batch_equals_batches_of_one(self):
         states = mixed_batch()
-        value, theta, phi = classical_correlations(states)
+        got = rows(correlations(states))
         for k, state in enumerate(states):
-            assert same_bits((value[k], theta[k], phi[k]), batch_of_one(state)), k
+            assert same_bits(got[k], rows(correlations([state]))[0]), k
             c_val, basis = classical_correlation(state)
-            assert same_bits((c_val, basis.theta, basis.phi), batch_of_one(state)), k
+            # the single-state C is the search's own; correlations clamps it to I
+            assert same_bits((min(c_val, got[k, 0]), basis.theta, basis.phi), got[k, [1, 4, 5]]), k
 
     def test_batch_exercises_an_interior_bracket(self):
         states = mixed_batch()
-        _, theta, _ = classical_correlations(states)
+        theta = correlations(states)["theta"]
         c = np.cos(theta[states.index(INTERIOR_OPTIMUM)])
         assert 0.99 < c < 0.999
 
     def test_nan_row_and_order_move_no_other_row(self):
         states = mixed_batch()
         nan_state = XStateDensityMatrix(a_plus=math.nan, a_minus=0.25, a_zero=0.25)
-        value, theta, phi = classical_correlations(states)
-        with_nan = classical_correlations(states[:7] + [nan_state] + states[7:])
-        keep = np.r_[0:7, 8:len(states) + 1]
-        assert same_bits(np.column_stack(with_nan)[keep], np.column_stack((value, theta, phi)))
-        assert same_bits(np.column_stack(with_nan)[7], batch_of_one(nan_state))
-        backwards = classical_correlations(states[::-1])
-        assert same_bits(np.column_stack(backwards)[::-1], np.column_stack((value, theta, phi)))
+        got = rows(correlations(states))
+        with_nan = rows(correlations(states[:7] + [nan_state] + states[7:]))
+        assert same_bits(np.delete(with_nan, 7, axis=0), got)
+        assert same_bits(with_nan[7], rows(correlations([nan_state]))[0])
+        assert same_bits(rows(correlations(states[::-1]))[::-1], got)
 
     def test_batch_matches_the_search_written_per_state(self):
         rng = np.random.default_rng(17)
         states = mixed_batch() + [random_x_state(rng) for _ in range(300)]
-        value, theta, _ = classical_correlations(states)
+        got = correlations(states)
         for k, state in enumerate(states):
             c_best, s_min = loop_best_cos_theta(state)
             c_val = max(subsystem_entropy(state.a_plus - state.a_minus) - s_min, 0.0)
-            assert same_bits((value[k], theta[k]), (c_val, math.acos(c_best))), k
+            assert same_bits(got["theta"][k], math.acos(c_best)), k
+            assert same_bits(classical_correlation(state)[0], c_val), k
+            assert same_bits(got["C"][k], min(c_val, got["I"][k])), k
 
     def test_correlations_equal_batches_of_one_and_the_report(self):
         states = mixed_batch()
         got = correlations(states)
-        keys = ("I", "C", "Q", "Cnc", "theta", "phi")
-        assert set(got) == set(keys)
+        assert set(got) == set(KEYS)
         for k, state in enumerate(states):
             alone = correlations([state])
-            assert same_bits([got[key][k] for key in keys], [alone[key][0] for key in keys]), k
+            assert same_bits([got[key][k] for key in KEYS], [alone[key][0] for key in KEYS]), k
             rep = measure_state(state)
             report = (
                 rep.mutual_information, rep.classical_correlation, rep.discord,
                 rep.concurrence, rep.argmax_basis.theta, rep.argmax_basis.phi,
             )
-            assert same_bits([got[key][k] for key in keys], report), k
+            assert same_bits([got[key][k] for key in KEYS], report), k
             assert same_bits(got["Q"][k], discord(state)), k
 
     def test_empty_batch(self):
-        value, theta, phi = classical_correlations([])
-        assert value.shape == theta.shape == phi.shape == (0,)
+        got = correlations([])
+        assert all(got[key].shape == (0,) for key in KEYS)
 
 
 def mutual_information_per_state(state) -> float:
@@ -415,14 +417,9 @@ def concurrence_per_state(state) -> float:
     return max(0.0, inner, 2.0 * (abs(state.b1) - state.a_zero))
 
 
-# a0 - |b2| = -1e-10: inside the constructor's 1e-9 positivity slack, below
-# the entropy's -1e-12 eigenvalue clamp
-NEGATIVE_EIGENVALUE = XStateDensityMatrix(a_plus=0.3, a_minus=0.3, a_zero=0.2, b2=0.2 + 1e-10)
-
-
 class TestBatchedClosedForms:
     """Mutual information and concurrence of a batch in one array pass, each
-    entry bit for bit the per-state value."""
+    entry bit for bit the per-state value, and one failure rule for I, C, Q."""
 
     def states(self):
         rng = np.random.default_rng(23)
@@ -430,67 +427,83 @@ class TestBatchedClosedForms:
 
     def test_mutual_informations_equal_the_per_state_formula(self):
         states = self.states()
-        got = mutual_informations(states)
+        got = correlations(states)["I"]
         assert same_bits(got, [mutual_information_per_state(s) for s in states])
         assert same_bits(got, [mutual_information(s) for s in states])
 
     def test_concurrences_equal_the_per_state_formula(self):
         states = self.states()
-        got = concurrences(states)
+        got = correlations(states)["Cnc"]
         assert same_bits(got, [concurrence_per_state(s) for s in states])
         assert same_bits(got, [concurrence_xstate(s) for s in states])
 
     def test_negative_eigenvalue_fails_only_its_own_entry(self):
         states = mixed_batch()
-        with_bad = states[:5] + [NEGATIVE_EIGENVALUE] + states[5:]
-        got = mutual_informations(with_bad)
+        got = correlations(states[:5] + [NEGATIVE_EIGENVALUE] + states[5:])["I"]
         assert np.isnan(got[5])
-        assert same_bits(np.delete(got, 5), mutual_informations(states))
+        assert same_bits(np.delete(got, 5), correlations(states)["I"])
         with pytest.raises(ValueError, match="eigenvalue below"):
             mutual_information(NEGATIVE_EIGENVALUE)
 
     def test_negative_eigenvalue_is_nan_in_i_c_q_only(self):
+        self.assert_nan_in_i_c_q_only(NEGATIVE_EIGENVALUE)
+
+    def test_polarization_beyond_one_is_nan_in_i_c_q_only(self):
+        # |z| > 1 passes the constructor but not the failure rule, alone and
+        # with a_minus = -1e-12 (an eigenvalue of -1.00009e-12); the rest of
+        # the batch keeps its values
+        self.assert_nan_in_i_c_q_only(POLARIZATION_OVERSHOOT)
+        self.assert_nan_in_i_c_q_only(
+            XStateDensityMatrix(a_plus=1.0 + 5e-11, a_minus=-1e-12, a_zero=0.0)
+        )
+
+    def assert_nan_in_i_c_q_only(self, bad):
         states = mixed_batch()
-        got = correlations(states[:5] + [NEGATIVE_EIGENVALUE] + states[5:])
-        clean, alone = correlations(states), correlations([NEGATIVE_EIGENVALUE])
-        for key in ("I", "C", "Q", "Cnc", "theta", "phi"):
-            assert same_bits(np.delete(got[key], 5), clean[key]), key
-            assert same_bits(got[key][5], alone[key][0]), key
-            assert np.isnan(got[key][5]) == (key in ("I", "C", "Q")), key
-        with pytest.raises(ValueError, match="eigenvalue below"):
-            discord(NEGATIVE_EIGENVALUE)
+        middle = len(states) // 2
+        got = correlations(states[:middle] + [bad] + states[middle:])
+        clean, alone = correlations(states), correlations([bad])
+        for key in KEYS:
+            assert same_bits(np.delete(got[key], middle), clean[key]), key
+            assert same_bits(got[key][middle], alone[key][0]), key
+            assert np.isnan(got[key][middle]) == (key in ("I", "C", "Q")), key
+        for single in (mutual_information, classical_correlation, concurrence_xstate, discord):
+            with pytest.raises(ValueError, match="eigenvalue below"):
+                single(bad)
 
     def test_c_above_i_raises_and_roundoff_is_clamped(self, monkeypatch):
         # an optimizer that overshoots I by more than 1e-9 is a bug; an
         # overshoot below it is roundoff, clamped to C = I and Q = 0
         states = mixed_batch()
-        i_vals = mutual_informations(states)
-        real = xstate.classical_correlations
+        i_vals = correlations(states)["I"]
+        real = xstate._classical
 
         def overshoot(by):
-            def patched(batch):
-                value, theta, phi = real(batch)
+            def patched(fields):
+                value, theta = real(fields)
                 value = value.copy()
                 value[3] = i_vals[3] + by
-                return value, theta, phi
+                return value, theta
             return patched
 
-        monkeypatch.setattr(xstate, "classical_correlations", overshoot(2e-9))
+        monkeypatch.setattr(xstate, "_classical", overshoot(2e-9))
         with pytest.raises(RuntimeError, match="state 3: optimizer produced C > I"):
             correlations(states)
-        monkeypatch.setattr(xstate, "classical_correlations", overshoot(5e-10))
+        monkeypatch.setattr(xstate, "_classical", overshoot(5e-10))
         got = correlations(states)
         assert got["C"][3] == got["I"][3] == i_vals[3]
         assert got["Q"][3] == 0.0
 
     def test_empty_batch(self):
-        assert mutual_informations([]).shape == concurrences([]).shape == (0,)
+        fields = xstate._fields([])
+        assert fields["eigs"].shape == (0, 4)
+        assert xstate._mutual(fields).shape == xstate._concurrence(fields).shape == (0,)
 
     def test_dense_input_rejected(self):
         with pytest.raises(ValueError):
-            mutual_informations([_bell_matrix()])
-        with pytest.raises(ValueError):
-            concurrences([_bell_matrix()])
+            correlations([_bell_matrix()])
+        for single in (mutual_information, classical_correlation, concurrence_xstate, discord):
+            with pytest.raises(ValueError):
+                single(_bell_matrix())
 
 
 class TestOracleAgreement:
