@@ -23,18 +23,18 @@ Each step there is exp(Omega_1 + Omega_2), both Magnus terms integrated in
 closed form in Phi (Filon) over a cubic in Phi of g / E, so the step is set
 by how fast g changes, not by the phase.  The segment ends at the first
 observation time, or earlier where the largest g / E of any pair reaches
-COUPLING; from there on every pair is propagated with the sixth-order
-Magnus step written out in closed form for a Hamiltonian linear in t
-(`_magnus`).
+COUPLING; then every pair takes the sixth-order Magnus step written out in
+closed form for a Hamiltonian linear in t (`_magnus`).
 
 Both steps are unitary, so the norm defect |<psi|psi> - 1| stays at
 roundoff; it is measured at every observation time and reported as
-max_step_drift.  No Magnus step rotates a mode by more than pi/2, and
-`ModeEnsemble` marches at one fixed step: Magnus steps up to `step`,
-adiabatic ones up to LOG_STEP * step / STEP in log time.  The step is chosen
-by `trace_run` alone: it starts at STEP and, while a step-doubling estimate
-of the error of D exceeds TOL at an observation time, halves it and marches
-the whole grid again from t_start.  IntegrationError is raised only if no
+max_step_drift.  No Magnus step rotates a mode by more than pi/2.  `_plan`
+fixes every segment's frame, span and step count from closed forms at one
+step (Magnus steps up to it, adiabatic ones up to LOG_STEP * step / STEP in
+log time), and `ModeEnsemble.advance` only executes that plan.  `trace_run`
+alone chooses the step: it starts at STEP and, while a step-doubling
+estimate of the error of D exceeds TOL at an observation time, halves it and
+marches the whole grid again from t_start.  IntegrationError is raised if no
 step down to STEP / 2**10 meets it.
 """
 
@@ -220,32 +220,6 @@ def _magnus(a0: np.ndarray, b: np.ndarray, a1: float, y: np.ndarray,
     return np.stack([u, v])
 
 
-def _step_length(a0: np.ndarray, b: np.ndarray, a1: float,
-                 t0: float, t1: float, step: float) -> float:
-    """The longest step up to `step` that rotates no pair by more than _MAX_ANGLE on [t0, t1].
-
-    A step of length h rotates pair j by about h sqrt(a_j^2 + b_j^2); the
-    Magnus series converges only below pi, and |a_j| is largest at an end.
-    """
-    a = np.maximum(np.abs(a0 + a1 * t0), np.abs(a0 + a1 * t1))
-    return min(step, _MAX_ANGLE / float(np.sqrt(np.max(a * a + b * b))))
-
-
-def _handoff(a0: np.ndarray, b: np.ndarray, a1: float, t_start: float, t_first: float) -> float:
-    """End of the adiabatic segment: t_first, or earlier where the largest g / E reaches COUPLING.
-
-    g / E = -b a1 / (2 E^3) of a pair grows while a(t) falls towards 0, so it
-    first reaches COUPLING where a = sqrt(E*^2 - b^2), E*^3 = -b a1 / (2 COUPLING);
-    a pair with E* <= b never reaches it.  Never earlier than t_start.
-    """
-    e = np.cbrt(-0.5 * a1 * b / COUPLING)
-    reach = e > b
-    if np.any(reach):
-        a = np.sqrt(e[reach] ** 2 - b[reach] ** 2)
-        t_first = min(t_first, float(np.min((a - a0[reach]) / a1)))
-    return max(t_first, t_start)
-
-
 def _adiabatic_nodes(a0: np.ndarray, b: np.ndarray, a1: float,
                      t0: float, t1: float, log_step: float) -> np.ndarray:
     """An even number of adiabatic steps from t0 to t1, equal in log(t_ref - t).
@@ -266,6 +240,34 @@ def _adiabatic_nodes(a0: np.ndarray, b: np.ndarray, a1: float,
     nodes = t_ref - np.exp(np.linspace(u0, u1, 2 * pairs + 1))
     nodes[0], nodes[-1] = t0, t1
     return nodes
+
+
+def _plan(a0: np.ndarray, b: np.ndarray, a1: float, t_start: float, times, step: float) -> list:
+    """Every segment of the run from t_start over the observation times, from closed forms.
+
+    ("adiabatic", t_start, handoff, nodes) comes first if handoff > t_start: times[0]
+    or, if earlier, where the largest g / E = -b a1 / (2 E^3) reaches COUPLING.  A
+    pair's g / E grows while a(t) falls towards 0, so it first reaches COUPLING where
+    a = sqrt(E*^2 - b^2), E*^3 = -b a1 / (2 COUPLING); a pair with E* <= b never does.
+    The nodes are `_adiabatic_nodes` at LOG_STEP * step / STEP.  Each interval up to
+    an observation time is then ("magnus", t0, t, n_steps): an even number of equal
+    steps no longer than `step` that rotate no pair by more than _MAX_ANGLE.  A step
+    h rotates pair j by about h sqrt(a_j^2 + b_j^2), and |a_j| is largest at an end.
+    """
+    e = np.cbrt(-0.5 * a1 * b / COUPLING)
+    reach = e > b
+    a = np.sqrt(e[reach] ** 2 - b[reach] ** 2)
+    handoff = float(np.min((a - a0[reach]) / a1, initial=times[0]))
+    plan, t0 = [], t_start
+    if handoff > t_start:
+        nodes = _adiabatic_nodes(a0, b, a1, t_start, handoff, step * (LOG_STEP / STEP))
+        plan, t0 = [("adiabatic", t_start, handoff, nodes)], handoff
+    for t in times:
+        a = np.maximum(np.abs(a0 + a1 * t0), np.abs(a0 + a1 * t))
+        h = min(step, _MAX_ANGLE / float(np.sqrt(np.max(a * a + b * b))))
+        plan.append(("magnus", t0, t, 2 * max(math.ceil((t - t0) / (2.0 * h) - 1e-9), 0)))
+        t0 = t
+    return plan
 
 
 def _frame(a0: np.ndarray, b: np.ndarray, a1: float, t: float):
@@ -396,15 +398,16 @@ def _overlap_product(f: np.ndarray) -> float:
 class ModeEnsemble:
     """Both branches of every momentum mode, marched forward together at one step.
 
-    The first advance from t_start carries every pair in the adiabatic
-    frame (`_adiabatic`) up to the hand-off: the first observation time
-    (or the time asked for, if earlier) or, if earlier still, the time where
-    the largest g / E of any pair reaches COUPLING (`_handoff`).  `handoff`
-    is the time that segment ended (t_start when there was none) and
-    `adiabatic_steps` its number of steps, equal in log time and no longer
-    than LOG_STEP * step / STEP.  After it the modes advance in equal Magnus
-    steps no longer than `step`; `steps` counts them.  The step never
-    changes: `trace_run` refines it by starting a new ensemble.
+    `_plan` decides the run when the ensemble is built, from closed forms,
+    and `plan` holds it; `advance` only executes it.  Every pair is carried
+    in the adiabatic frame (`_adiabatic`) from t_start to the hand-off: the
+    first observation time or, if earlier, the time where the largest g / E
+    of any pair reaches COUPLING.  `handoff` is the time that segment ended
+    (t_start when there was none) and `adiabatic_steps` its number of
+    steps, equal in log time and no longer than LOG_STEP * step / STEP.
+    After it the modes advance in equal Magnus steps no longer than `step`;
+    `steps` counts them.  The step never changes: `trace_run` refines it by
+    starting a new ensemble.
 
     A coarse ensemble follows the fine one from the start, in steps between
     every other adiabatic node and then in half as many Magnus steps of
@@ -443,27 +446,28 @@ class ModeEnsemble:
         e = np.hypot(a, self._b)
         y = np.stack([self._b, -(a + e)]).astype(complex)
         self._fine = self._coarse = y / np.sqrt(np.abs(y[0]) ** 2 + np.abs(y[1]) ** 2)
+        self.plan = _plan(self._a0, self._b, self._a1, config.t_start, config.t_grid, step)
         self.t = self.handoff = config.t_start
-        self.steps = self.adiabatic_steps = 0
+        self.steps = self.adiabatic_steps = self._done = 0
         self.error_estimate = 0.0
         self.max_step_drift = 0.0
 
     def advance(self, t: float) -> "ModeEnsemble":
-        if t < self.t - 1e-12:
-            raise ValueError(f"cannot integrate backwards: {t} < {self.t}")
-        t0, a0, b, a1 = self.t, self._a0, self._b, self._a1
-        if t0 == self.config.t_start:
-            end = min(t, _handoff(a0, b, a1, t0, self.config.t_grid[0]))
-            if end > t0:
-                nodes = _adiabatic_nodes(a0, b, a1, t0, end, self.step * (LOG_STEP / STEP))
-                self._fine, self._coarse = _adiabatic(a0, b, a1, nodes)
-                self.handoff, self.adiabatic_steps, t0 = end, len(nodes) - 1, end
-        h = _step_length(a0, b, a1, t0, t, self.step)
-        pairs = max(math.ceil((t - t0) / (2.0 * h) - 1e-9), 0)
-        self._fine = fine = _magnus(a0, b, a1, self._fine, t0, t, 2 * pairs)
-        self._coarse = _magnus(a0, b, a1, self._coarse, t0, t, pairs)
-        self.t = t
-        self.steps += 2 * pairs
+        """Execute every planned segment that ends by t, an observation time not behind `t`."""
+        if t < self.t or t not in self.config.t_grid:
+            raise ValueError(f"cannot advance from {self.t} to {t}: no observation time at or after it")
+        a0, b, a1 = self._a0, self._b, self._a1
+        while self._done < len(self.plan) and self.plan[self._done][2] <= t:
+            frame, t0, t1, n = self.plan[self._done]
+            self._done += 1
+            if frame == "adiabatic":
+                self._fine, self._coarse = _adiabatic(a0, b, a1, n)
+                self.handoff, self.adiabatic_steps = t1, len(n) - 1
+            else:
+                self._fine = _magnus(a0, b, a1, self._fine, t0, t1, n)
+                self._coarse = _magnus(a0, b, a1, self._coarse, t0, t1, n // 2)
+                self.steps += n
+        self.t, fine = t, self._fine
         err = abs(
             self.decoherence_factor()
             - _overlap_product(_branch_overlaps(self._coarse, self._n_modes))

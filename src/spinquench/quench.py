@@ -31,6 +31,7 @@ from .xstate import (
     XStateDensityMatrix,
     build_xstate,
     correlations,
+    failure,
 )
 
 # `measure_state` calls none of these; they stay importable here because the
@@ -86,11 +87,11 @@ def state_from_betas(betas: Mapping[int, float], n: int) -> XStateDensityMatrix:
 
 def measure_state(state: XStateDensityMatrix) -> CorrelationReport:
     """Full correlation report of one X state: a batch of one of
-    `xstate.correlations`.  A state with a negative eigenvalue raises
-    `ValueError`."""
+    `xstate.correlations`.  A state its failure rule marks raises
+    `ValueError`, naming the part of the rule that fired (`xstate.failure`)."""
     v = {k: float(a[0]) for k, a in correlations([state]).items()}
     if math.isnan(v["I"]):
-        raise ValueError("mutual information undefined: the state has a negative eigenvalue")
+        raise ValueError(failure(state))
     return CorrelationReport(
         mutual_information=v["I"], classical_correlation=v["C"], discord=v["Q"],
         concurrence=v["Cnc"], argmax_basis=MeasurementBasis(v["theta"], v["phi"]),

@@ -20,7 +20,7 @@ import numpy as np
 
 from .kernels import ProtocolKind, QuenchProtocol, moment_table
 from .quench import state_from_betas
-from .xstate import correlations
+from .xstate import correlations, failure
 
 # The sweeps call neither name; both stay importable here because the
 # benchmark's tracer wraps them at this module (LOOKUPS in bench/tracing.py).
@@ -87,8 +87,9 @@ def _run_rows(columns, grid, protocols, n) -> SweepTable:
     the kernel's tolerance, or whose state fails, holds NaNs and is listed in
     the errors while the others go on.  `xstate.correlations` then measures
     the built states in one call; a state it marks failed (NaN I) fails its
-    row alone.  Its result and the moments fill the value columns by name;
-    the inputs, the abscissa and n, are written on failed rows too.
+    row alone, listed with the reason `xstate.failure` gives.  Its result and
+    the moments fill the value columns by name; the inputs, the abscissa and
+    n, are written on failed rows too.
     """
     data = np.full((len(grid), len(columns)), np.nan)
     data[:, 0] = grid
@@ -111,8 +112,7 @@ def _run_rows(columns, grid, protocols, n) -> SweepTable:
     for col, name in enumerate(columns):
         if name not in (columns[0], "n"):
             data[rows[ok], col] = values[name][ok]
-    errors += [(int(i), "mutual information undefined: the state has a negative eigenvalue")
-               for i in rows[~ok]]
+    errors += [(int(rows[j]), failure(states[j])) for j in np.flatnonzero(~ok)]
     return SweepTable(columns=columns, data=data, errors=tuple(sorted(errors)))
 
 

@@ -15,6 +15,8 @@ angle alone.  `correlations`, which the sweeps, the central-qubit trace and
 array pass over that read.  One failure rule covers I, C and Q: a state with
 an eigenvalue below -`_EIG_CLAMP` or |z| > 1 gets NaN there and moves no
 other state; the single-state functions, batches of one, raise ValueError on it.
+`failure` words the rule for a marked state, for those errors and for the
+failed rows of the sweeps and `quench.measure_state`.
 """
 
 from __future__ import annotations
@@ -310,7 +312,8 @@ def _fields(states: list[XStateDensityMatrix]) -> dict[str, np.ndarray]:
     """Every X state read once, as arrays: "a_plus", "a_minus", "a_zero", the
     moduli "b1", "b2", "eigs" (as `eigenvalues()`), the polarization "z", the
     best azimuth "phi", and "bad", the failure rule: an eigenvalue below
-    -`_EIG_CLAMP` or |z| > 1 + 1e-12.  Dense matrices are rejected."""
+    -`_EIG_CLAMP` ("low") or |z| > 1 + 1e-12 ("over").  Dense matrices are
+    rejected."""
     for rho in states:
         if not isinstance(rho, XStateDensityMatrix):
             raise ValueError(f"X-state measures need an XStateDensityMatrix, got {type(rho).__name__}")
@@ -322,16 +325,28 @@ def _fields(states: list[XStateDensityMatrix]) -> dict[str, np.ndarray]:
     ], dtype=float).reshape(-1, 7).T
     mean, z = 0.5 * (a_plus + a_minus), a_plus - a_minus
     eigs = np.stack([mean + gap, mean - gap, a_zero + b2, a_zero - b2], axis=1)
-    bad = np.any(eigs < -_EIG_CLAMP, axis=1) | (np.abs(z) > 1.0 + 1e-12)
+    low, over = np.any(eigs < -_EIG_CLAMP, axis=1), np.abs(z) > 1.0 + 1e-12
     return {"a_plus": a_plus, "a_minus": a_minus, "a_zero": a_zero, "b1": b1, "b2": b2,
-            "eigs": eigs, "z": z, "phi": phi, "bad": bad}
+            "eigs": eigs, "z": z, "phi": phi, "low": low, "over": over, "bad": low | over}
+
+
+def failure(rho: XStateDensityMatrix) -> str | None:
+    """Why the failure rule marks this state, naming each part that fired; None
+    when it does not mark it."""
+    f = _fields([rho])
+    why = [text for part, text in (
+        ("low", f"the state has a negative eigenvalue (eigenvalue below -{_EIG_CLAMP}: "
+                f"{f['eigs'][0].min()})"),
+        ("over", f"the polarization |z| = {abs(f['z'][0])} of the state exceeds 1 + 1e-12"),
+    ) if f[part][0]]
+    return "; ".join(why) or None
 
 
 def _one(rho: XStateDensityMatrix) -> dict[str, np.ndarray]:
     """`_fields` of a batch of one; a state the failure rule marks raises ValueError."""
     f = _fields([rho])
     if f["bad"][0]:
-        raise ValueError(f"eigenvalue below -{_EIG_CLAMP} or |z| above 1: {f['eigs'][0]}, z = {f['z'][0]}")
+        raise ValueError(failure(rho))
     return f
 
 

@@ -174,12 +174,13 @@ def initial_mode_state(k: float, branch: str, config) -> np.ndarray:
 
 
 def evolve_mode(k: float, branch: str, config, t_from: float, t_to: float, y) -> np.ndarray:
-    """(u, v) of one mode carried from t_from to t_to by `central._magnus`, in equal
-    steps no longer than central.STEP that rotate it by at most pi/2."""
+    """(u, v) of one mode carried from t_from to t_to by `central._magnus`, in the
+    steps of the Magnus segment that `central._plan` gives the span at central.STEP."""
     h0 = branch_hamiltonian(k, 0.0, branch, config)
     a0, b, a1 = h0[:1, 0], h0[:1, 1], -2.0 / config.tau
-    h = central._step_length(a0, b, a1, t_from, t_to, central.STEP)
-    n_steps = max(math.ceil((t_to - t_from) / h - 1e-9), 0)
+    # a first observation time at t_from leaves no adiabatic segment
+    frame, _, _, n_steps = central._plan(a0, b, a1, t_from, (t_from, t_to), central.STEP)[-1]
+    assert frame == "magnus"
     y = np.asarray(y, dtype=complex)[:, None]
     return central._magnus(a0, b, a1, y, t_from, t_to, n_steps)[:, 0]
 

@@ -292,7 +292,7 @@ class TestMagnusPropagator:
             assert ens.decoherence_factor() == pytest.approx(1.0, abs=1e-12)
 
     def test_backwards_integration_rejected(self):
-        ens = ModeEnsemble(small_config()).advance(5.0)
+        ens = ModeEnsemble(small_config(t_grid=(1.0, 5.0))).advance(5.0)
         with pytest.raises(ValueError):
             ens.advance(1.0)
 
@@ -364,9 +364,11 @@ class TestAdiabaticSegment:
         assert np.allclose(d, 1.0, atol=1e-12)
 
     def test_handoff_is_where_the_largest_coupling_reaches_threshold(self):
+        # the grid starts at t = -2, after the threshold
         cfg = self.config()
         ens = ModeEnsemble(cfg)
-        t_h = central._handoff(ens._a0, ens._b, ens._a1, cfg.t_start, math.inf)
+        frame, start, t_h, _ = ens.plan[0]
+        assert (frame, start) == ("adiabatic", cfg.t_start)
         t = np.linspace(cfg.t_start, 0.0, 200001)
         a = ens._a0[:, None] + ens._a1 * t[None, :]
         b = ens._b[:, None]
@@ -374,7 +376,7 @@ class TestAdiabaticSegment:
         first = t[np.argmax(coupling >= central.COUPLING)]
         assert first - (t[1] - t[0]) <= t_h <= first
         # the first observation time comes first when it is earlier
-        assert central._handoff(ens._a0, ens._b, ens._a1, cfg.t_start, -5.0) == -5.0
+        assert ModeEnsemble(self.config(t_grid=(-5.0,) + self.GRID)).plan[0][2] == -5.0
 
     @pytest.mark.parametrize(
         "overrides",
@@ -419,16 +421,14 @@ class TestAdiabaticSegment:
 
     @staticmethod
     def magnus_path(cfg, step: float) -> np.ndarray:
-        """D from `central._magnus` marched as ModeEnsemble marches it at `step` with no
-        adiabatic segment."""
-        ens = ModeEnsemble(cfg)
-        y, t0, out = ens._fine, cfg.t_start, []
-        for t in cfg.t_grid:
-            h = central._step_length(ens._a0, ens._b, ens._a1, t0, t, step)
-            pairs = max(math.ceil((t - t0) / (2.0 * h) - 1e-9), 0)
-            y = central._magnus(ens._a0, ens._b, ens._a1, y, t0, t, 2 * pairs)
+        """D from `central._magnus` alone over the Magnus segments of ModeEnsemble's plan
+        at `step`, which has no adiabatic segment."""
+        ens = ModeEnsemble(cfg, step)
+        y, out = ens._fine, []
+        for frame, t0, t, n_steps in ens.plan:
+            assert frame == "magnus"
+            y = central._magnus(ens._a0, ens._b, ens._a1, y, t0, t, n_steps)
             out.append(central._overlap_product(central._branch_overlaps(y, ens._n_modes)))
-            t0 = t
         return np.array(out)
 
     def test_fixed_step_halving_order(self, monkeypatch):
@@ -463,10 +463,48 @@ class TestAdiabaticSegment:
         assert np.abs(np.array(d) - ref).max() <= 1e-7
 
 
+class TestPlan:
+    """`ModeEnsemble` fixes its segments at construction (`_plan`); `advance` executes them."""
+
+    @pytest.mark.parametrize(
+        "overrides, magnus_steps",
+        [({"n_spins": 20, "delta": 0.05, "tau": 2.0, "t_grid": TestMagnusPropagator.GRID}, 116),
+         ({"n_spins": 500, "delta": 0.01, "tau": 50.0,
+           "t_grid": central.observation_grid(-20.0, 150.0, 2.5)}, 1774)],
+        ids=["n20", "decohere-revival"],
+    )
+    def test_marched_plan_is_what_the_ensemble_reports(self, overrides, magnus_steps):
+        cfg = CentralConfig(a=0.9, h_start=10.0, **overrides)
+        ens = ModeEnsemble(cfg)
+        plan = list(ens.plan)
+        for t in cfg.t_grid:
+            ens.advance(t)
+        assert ens.plan == plan
+        frame, start, end, nodes = plan[0]
+        assert (frame, start, end) == ("adiabatic", cfg.t_start, ens.handoff)
+        assert len(nodes) - 1 == ens.adiabatic_steps
+        # one Magnus segment per observation interval, each starting where the last ended
+        assert [(f, t1) for f, _, t1, _ in plan[1:]] == [("magnus", t) for t in cfg.t_grid]
+        assert [s[1] for s in plan[1:]] == [s[2] for s in plan[:-1]]
+        assert sum(n for *_, n in plan[1:]) == ens.steps == magnus_steps
+
+    def test_advance_off_the_grid_raises_and_marches_nothing(self):
+        cfg = CentralConfig(n_spins=20, delta=0.05, tau=2.0, a=0.9, t_grid=TestMagnusPropagator.GRID)
+        ens = ModeEnsemble(cfg)
+        with pytest.raises(ValueError):
+            ens.advance(-1.0)
+        assert (ens.t, ens.steps, ens.adiabatic_steps) == (cfg.t_start, 0, 0)
+        ens.advance(0.0)
+        before = (ens.t, ens.steps, ens.decoherence_factor())
+        with pytest.raises(ValueError):
+            ens.advance(1.0)
+        assert (ens.t, ens.steps, ens.decoherence_factor()) == before
+
+
 class TestDecoherenceFactor:
     def test_before_crossing_near_unity(self):
         # h(t) = 5 is far above the first critical point
-        cfg = small_config(n_spins=20, delta=0.01, tau=10.0)
+        cfg = small_config(n_spins=20, delta=0.01, tau=10.0, t_grid=(-40.0,))
         d = ModeEnsemble(cfg).advance(-40.0).decoherence_factor()
         assert d == pytest.approx(1.0, abs=1e-2)
         assert d <= 1.0

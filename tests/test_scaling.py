@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import NEGATIVE_EIGENVALUE
+from conftest import NEGATIVE_EIGENVALUE, POLARIZATION_OVERSHOOT
 import spinquench.kernels as kernels
 import spinquench.scaling as scaling
 from spinquench.kernels import QuenchProtocol
+from spinquench.quench import measure_state
 from spinquench.scaling import (
     ScalingFit,
     SweepTable,
@@ -106,6 +107,24 @@ class TestSweepTau:
         assert "synthetic" in t.errors[0][1]
         assert np.isnan(t.column("Q")[1])
         assert np.isfinite(t.column("Q")[[0, 2]]).all()
+
+    def test_polarization_overshoot_is_named_as_the_cause(self, monkeypatch):
+        # |z| > 1 + 1e-12 with eigenvalues 1 + 5e-11, 0, 0, 0: the row's error
+        # and measure_state's ValueError name the polarization, not an eigenvalue
+        calls = {"count": 0}
+        real = scaling.state_from_betas
+
+        def bad_second_row(betas, n):
+            calls["count"] += 1
+            return POLARIZATION_OVERSHOOT if calls["count"] == 2 else real(betas, n)
+
+        monkeypatch.setattr(scaling, "state_from_betas", bad_second_row)
+        t = sweep_tau(QuenchProtocol.ising(1.0, 1.0), 2, [0.5, 1.0, 2.0])
+        assert [i for i, _ in t.errors] == [1]
+        assert "polarization" in t.errors[0][1] and "eigenvalue" not in t.errors[0][1]
+        with pytest.raises(ValueError, match="polarization") as exc:
+            measure_state(POLARIZATION_OVERSHOOT)
+        assert "eigenvalue" not in str(exc.value)
 
     def test_negative_eigenvalue_fails_only_its_own_row(self, monkeypatch):
         # the batched measures give NaN for that state alone, and its row

@@ -8,12 +8,15 @@ and so would an `advance` that stops keeping `ens.t`, from which the tracer
 reads the simulated time.
 The rest of bench/ imports program names directly (the gates' oracles
 `concurrence_wootters` and `closed_form_I_n2`, the selftest's `discord`) and
-reads fields of the trace it times; those are checked from the source.
+reads fields of the trace it times; those are checked from the source.  The
+D values that decohere-revival's gate reads from bench/reference_D.json are
+checked against a march in bench/record_reference.py's pattern.
 """
 
 import ast
 import dataclasses
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -65,6 +68,21 @@ def test_every_lookup_point_resolves():
     assert (advance, trace) == ("ModeEnsemble.advance", "trace_run")
     assert calls == times == "4"
     assert float(sim_time) == float(span) == 22.0
+
+
+def test_recorded_reference_is_reproduced():
+    # decohere-revival's gate holds D to bench/reference_D.json within 1e-6
+    # (`_D_REF_TOL` in bench/workloads.py); march the ensemble over every
+    # recorded time as bench/record_reference.py does, one advance per time
+    # in order.  The file is only read here, never rewritten.
+    from spinquench import central
+
+    ref = json.loads((ROOT / "bench" / "reference_D.json").read_text())
+    times = tuple(ref["t"])
+    ens = central.ModeEnsemble(central.CentralConfig(t_grid=times, **ref["config"]))
+    values = [ens.advance(t).decoherence_factor() for t in times]
+    assert len(values) == len(ref["D"]) == 552
+    assert max(abs(d - r) for d, r in zip(values, ref["D"])) <= 1e-6
 
 
 def test_every_bench_import_resolves():

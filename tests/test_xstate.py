@@ -446,18 +446,21 @@ class TestBatchedClosedForms:
             mutual_information(NEGATIVE_EIGENVALUE)
 
     def test_negative_eigenvalue_is_nan_in_i_c_q_only(self):
-        self.assert_nan_in_i_c_q_only(NEGATIVE_EIGENVALUE)
+        self.assert_nan_in_i_c_q_only(NEGATIVE_EIGENVALUE, "eigenvalue below")
 
     def test_polarization_beyond_one_is_nan_in_i_c_q_only(self):
         # |z| > 1 passes the constructor but not the failure rule, alone and
         # with a_minus = -1e-12 (an eigenvalue of -1.00009e-12); the rest of
         # the batch keeps its values
-        self.assert_nan_in_i_c_q_only(POLARIZATION_OVERSHOOT)
+        # the error names the part of the rule that fired: here the
+        # polarization alone, then both parts
+        self.assert_nan_in_i_c_q_only(POLARIZATION_OVERSHOOT, "^the polarization")
         self.assert_nan_in_i_c_q_only(
-            XStateDensityMatrix(a_plus=1.0 + 5e-11, a_minus=-1e-12, a_zero=0.0)
+            XStateDensityMatrix(a_plus=1.0 + 5e-11, a_minus=-1e-12, a_zero=0.0),
+            "eigenvalue below .*; the polarization",
         )
 
-    def assert_nan_in_i_c_q_only(self, bad):
+    def assert_nan_in_i_c_q_only(self, bad, match):
         states = mixed_batch()
         middle = len(states) // 2
         got = correlations(states[:middle] + [bad] + states[middle:])
@@ -467,8 +470,9 @@ class TestBatchedClosedForms:
             assert same_bits(got[key][middle], alone[key][0]), key
             assert np.isnan(got[key][middle]) == (key in ("I", "C", "Q")), key
         for single in (mutual_information, classical_correlation, concurrence_xstate, discord):
-            with pytest.raises(ValueError, match="eigenvalue below"):
+            with pytest.raises(ValueError, match=match):
                 single(bad)
+        assert xstate.failure(states[0]) is None
 
     def test_c_above_i_raises_and_roundoff_is_clamped(self, monkeypatch):
         # an optimizer that overshoots I by more than 1e-9 is a bug; an
