@@ -1,15 +1,18 @@
 """Command-line front end: deterministic CSV output for sweeps, fits, and traces.
 
 Subcommands: measures, sweep, fit, decohere.  Each subparser names its
-command (`run`), which reads argparse's namespace, checks it and builds its
-own protocol, grid or `CentralConfig`s.  measures is the one-row table of the
-sweeps' own pipeline (`scaling.measure_table`); both print through
-`_write_table`: a failed row keeps its inputs with NaN values, is listed on
-stderr as `numerical failure: row i failed: ...`, and makes the exit code 3.
-decohere marches once, which measures the first Werner weight of --a; the
-others are measured on that D(t).  Output goes to --output or stdout,
-diagnostics to stderr.  Exit codes: 0 success, 2 invalid configuration, 3
-numerical failure.  Reruns give byte-identical CSV; --workers has no effect.
+command (`run`), which builds its own protocol, grid or `CentralConfig`s from
+argparse's namespace; those check their own inputs, and cli checks only which
+grid supplies a sweep's abscissa, --workers >= 1 and repeated Werner weights.
+measures is the one-row table of the sweeps' own pipeline
+(`scaling.measure_table`); both print through `_write_table`: a failed row
+keeps its inputs with NaN values, is listed on stderr as `numerical failure:
+row i failed: ...`, and makes the exit code 3.  decohere marches once, which
+measures the first Werner weight of --a; the others are measured on that
+D(t).  A --config file's keys are flag names, parsed as flags in front of the
+command line's.  Output goes to --output or stdout, diagnostics to stderr.
+Exit codes: 0 success, 2 invalid configuration, 3 numerical failure.  Reruns
+give byte-identical CSV; --workers has no effect.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import sys
 import numpy as np
 
 from . import central, scaling
-from .kernels import QuadratureError, QuenchProtocol
+from .kernels import ProtocolKind, QuenchProtocol
 from .xstate import correlations
 
 EXIT_OK = 0
@@ -58,28 +61,15 @@ def _write_table(path: str | None, table: scaling.SweepTable) -> int:
 
 
 def _build_protocol(args) -> QuenchProtocol:
-    tau = args.tau if getattr(args, "tau", None) is not None else 1.0
-    if args.protocol == "ising":
-        if getattr(args, "j3", None) is not None:
-            raise ValueError("--j3 is only valid with --protocol three-spin")
-        return QuenchProtocol.ising(args.gamma if args.gamma is not None else 1.0, tau)
-    if args.protocol == "multicritical":
-        if getattr(args, "j3", None) is not None or args.gamma is not None:
-            raise ValueError("--protocol multicritical takes no --gamma/--j3")
-        return QuenchProtocol.multicritical(tau)
-    if args.protocol == "three-spin":
-        if args.gamma is not None:
-            raise ValueError("--gamma is only valid with --protocol ising")
-        j3 = args.j3 if args.j3 is not None else 0.0
-        return QuenchProtocol.three_spin(j3, tau)
-    raise ValueError(f"unknown protocol {args.protocol!r}")
+    kind = ProtocolKind(args.protocol)
+    gamma = 1.0 if kind is ProtocolKind.ISING and args.gamma is None else args.gamma
+    j3 = 0.0 if kind is ProtocolKind.THREE_SPIN and args.j3 is None else args.j3
+    return QuenchProtocol(kind, args.tau if args.tau is not None else 1.0, gamma=gamma, j3=j3)
 
 
 def _log_grid(lo: float, hi: float, points: int) -> list[float]:
     if lo <= 0.0 or hi <= lo or points < 1:
         raise ValueError(f"bad grid spec ({lo}, {hi}, {points})")
-    if points == 1:
-        return [lo]
     return list(np.geomspace(lo, hi, points))
 
 
@@ -118,8 +108,6 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    if args.window_max <= args.window_min:
-        raise ValueError("--window-max must exceed --window-min")
     with open(args.input, newline="") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     header = lines[0].split(",")
@@ -177,7 +165,7 @@ def _read_config_file(path: str) -> dict:
             if "=" not in line:
                 raise ValueError(f"bad config line {raw!r}: expected key=value")
             key, value = line.split("=", 1)
-            values[key.strip().replace("-", "_")] = value.strip()
+            values[key.strip().replace("_", "-")] = value.strip()
     return values
 
 
@@ -245,34 +233,18 @@ def _make_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _extract_config_path(argv) -> str | None:
-    for i, tok in enumerate(argv):
-        if tok == "--config" and i + 1 < len(argv):
-            return argv[i + 1]
-        if tok.startswith("--config="):
-            return tok.split("=", 1)[1]
-    return None
-
-
 def _parse(argv) -> argparse.Namespace:
-    parser = _make_parser()
-    # the file is located by scanning argv before parsing, since required
-    # flags may be satisfied by the file itself
-    config_path = _extract_config_path(argv)
-    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    sub = subparsers.choices.get(argv[0]) if argv else None
-    if config_path is not None and sub is not None:
-        file_values = _read_config_file(config_path)
-        flags = {a.dest: a.option_strings[-1] for a in sub._actions if a.option_strings}
-        unknown = set(file_values) - set(flags)
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    # the file is found first, by argparse's own rules, since required flags
+    # may be satisfied by the file itself
+    pre = argparse.ArgumentParser(prog="spinquench", add_help=False)
+    pre.add_argument("--config")
+    config_path = pre.parse_known_args(argv[1:])[0].config
+    if config_path is not None:
         # file values go in front of the command line's flags: argparse checks
         # them as it checks flags, and a flag given again on the command line wins
-        argv = [argv[0], *(f"{flags[k]}={v}" for k, v in file_values.items()), *argv[1:]]
-    args = parser.parse_args(argv)
-
-    return args
+        keys = (f"--{k}={v}" for k, v in _read_config_file(config_path).items())
+        argv = [*argv[:1], *keys, *argv[1:]]
+    return _make_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
@@ -284,7 +256,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (QuadratureError, central.IntegrationError, RuntimeError) as exc:
+    except RuntimeError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -103,7 +103,7 @@ def _run_rows(columns, grid, protocols, n) -> SweepTable:
         try:
             states.append(state_from_betas(moments.betas(i), n))
             rows.append(i)
-        except Exception as exc:  # noqa: BLE001 - row failures are data
+        except (ValueError, RuntimeError) as exc:
             errors.append((i, str(exc)))
     rows = np.array(rows, dtype=int)
     values = correlations(states)

@@ -33,6 +33,7 @@ from conftest import (
     excitation_probability,
     initial_mode_state,
     landau_zener_decoherence,
+    landau_zener_overlaps,
     weak_coupling_D,
 )
 from spinquench.kernels import QuenchProtocol
@@ -218,6 +219,20 @@ class TestMagnusPropagator:
         exact = landau_zener_decoherence(cfg)
         assert exact.min() < 0.99
         assert np.abs(trace_run(cfg).decoherence - exact).max() <= central.TOL
+
+    def test_large_n_sampled_modes_match_exact_solution(self):
+        # N = 5000 at the revival parameters: the oracle solves four of the
+        # 2500 modes, so its cost does not grow with N, while the ensemble
+        # marches them all; F_k at the first, middle and last modes, and at
+        # mode 37, whose F_k falls to 0.18 by t = 150
+        cfg = self.config(n_spins=5000, delta=0.01, tau=50.0, h_start=10.0,
+                          t_grid=(-20.0, 40.0, 100.0, 150.0))
+        modes = [0, 37, 1249, 2499]
+        exact = landau_zener_overlaps(cfg, modes)
+        ens = ModeEnsemble(cfg)
+        marched = np.array([ens.advance(t).mode_overlaps()[modes] for t in cfg.t_grid])
+        assert exact.min() < 0.5
+        assert np.abs(marched - exact).max() <= 1e-8
 
     def test_step_halving_sixth_order(self):
         d = [

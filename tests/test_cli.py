@@ -342,6 +342,17 @@ class TestConfigFile:
         assert out_flag == out_direct
         assert out_cfg != out_flag
 
+    def test_abbreviated_flag_reads_the_file(self, tmp_path, capsys):
+        # argparse takes --conf for --config, so the file must be read too
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n=4\n")
+        code, out, _ = run_cli(
+            capsys, "measures", "--protocol", "ising", "--tau", "5", "--conf", str(cfg)
+        )
+        assert code == 0
+        header, rows = parse_csv(out)
+        assert rows[0][header.index("n")] == 4
+
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("protocol=ising\nbogus=1\n")

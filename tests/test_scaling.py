@@ -108,6 +108,20 @@ class TestSweepTau:
         assert np.isnan(t.column("Q")[1])
         assert np.isfinite(t.column("Q")[[0, 2]]).all()
 
+    def test_programming_error_is_no_failed_row(self, monkeypatch):
+        # a row fails on a ValueError or RuntimeError of its moments or state;
+        # a wrong call is a fault of the program and propagates
+        calls = {"count": 0}
+        real = scaling.state_from_betas
+
+        def miscalled(betas, n):
+            calls["count"] += 1
+            return real(betas) if calls["count"] == 2 else real(betas, n)
+
+        monkeypatch.setattr(scaling, "state_from_betas", miscalled)
+        with pytest.raises(TypeError, match="missing 1 required positional argument: 'n'"):
+            sweep_tau(QuenchProtocol.ising(1.0, 1.0), 2, [0.5, 1.0, 2.0])
+
     def test_polarization_overshoot_is_named_as_the_cause(self, monkeypatch):
         # |z| > 1 + 1e-12 with eigenvalues 1 + 5e-11, 0, 0, 0: the row's error
         # and measure_state's ValueError name the polarization, not an eigenvalue

@@ -11,6 +11,11 @@ The rest of bench/ imports program names directly (the gates' oracles
 reads fields of the trace it times; those are checked from the source.  The
 D values that decohere-revival's gate reads from bench/reference_D.json are
 checked against a march in bench/record_reference.py's pattern.
+
+The CLI's printed cells are checked against tests/record/, which
+scripts/record.py writes: the figure CSVs and the calls at the edges are
+rerun and compared byte for byte, under the Python and numpy versions the
+record was made with.
 """
 
 import ast
@@ -22,6 +27,8 @@ import subprocess
 import sys
 import types
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -120,11 +127,31 @@ def test_trace_fields_read_by_the_benchmark_exist():
     assert read <= {f.name for f in dataclasses.fields(DecoherenceTrace)}
 
 
-def test_scripts_run(tmp_path):
+@pytest.fixture
+def record(monkeypatch):
+    # scripts/record.py imports scripts/figures.py as a sibling module
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    spec = importlib.util.spec_from_file_location("record", ROOT / "scripts" / "record.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def assert_recorded_versions(record):
+    # the bytes depend on numpy's and libm's rounding: a record made under
+    # other versions is no reference, and the test says so rather than skip
+    recorded = json.loads((record.RECORD / "versions.json").read_text())
+    running = record.versions()
+    assert recorded == running, f"record made under {recorded}, run under {running}"
+
+
+def test_scripts_run(tmp_path, record):
     # a call the CLI no longer takes fails here, not only when someone next
-    # regenerates the figure data; every file is the CLI's own output
+    # regenerates the figure data; every file is the CLI's own output, byte
+    # for byte the recorded one
     from spinquench.cli import main
 
+    assert_recorded_versions(record)
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     run = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "figures.py"), str(tmp_path)],
@@ -135,10 +162,23 @@ def test_scripts_run(tmp_path):
     for name in FIGURE_CSVS:
         text = (tmp_path / name).read_text()
         assert len(text.splitlines()) > 1 and "nan" not in text.lower(), name
+        assert text.encode() == (record.RECORD / name).read_bytes(), name
     sweep = tmp_path / "sweep.csv"
     assert main(["sweep", "--protocol", "ising", "--gamma", "1", "--n", "2", "--tau-min", "0.1",
                  "--tau-max", "1e4", "--tau-points", "48", "--output", str(sweep)]) == 0
     assert sweep.read_bytes() == (tmp_path / "ising_sweep_n2.csv").read_bytes()
+
+
+def test_edge_calls_reproduce_the_record(record):
+    # the measures rows at the moment kernel's edges and the two-weight
+    # decohere-revival trace: every call exits 0 (record.edge_outputs raises
+    # otherwise) and prints the recorded bytes
+    assert_recorded_versions(record)
+    outputs = record.edge_outputs()
+    assert sorted(outputs) == ["decohere_revival.csv", "measures_edges.csv"]
+    assert len(outputs["measures_edges.csv"].splitlines()) == 1 + 24
+    for name, text in outputs.items():
+        assert text.encode() == (record.RECORD / name).read_bytes(), name
 
 
 def test_figures_stop_at_the_first_failed_call(tmp_path, monkeypatch):
