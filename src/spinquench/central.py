@@ -26,6 +26,13 @@ observation time, or earlier where the largest g / E of any pair reaches
 COUPLING; then every pair takes the sixth-order Magnus step written out in
 closed form for a Hamiltonian linear in t (`_magnus`).
 
+A coarse ensemble in steps twice as long rides along for the error estimate
+(`ModeEnsemble`).  Fine and coarse pairs are the lanes of one (2, 2M) state,
+fine lanes first, and one kernel, `_magnus_step`, takes every Magnus step in
+place with no array allocated: per coarse step, `_march` moves the fine lanes
+alone and then all lanes, fine and coarse steps side by side.  `_magnus`, one
+ensemble on its own, loops the same kernel and gives the same bits.
+
 Both steps are unitary, so the norm defect |<psi|psi> - 1| stays at
 roundoff; it is measured at every observation time and reported as
 max_step_drift.  No Magnus step rotates a mode by more than pi/2.  `_plan`
@@ -178,6 +185,56 @@ def mode_momenta(n_spins: int) -> np.ndarray:
     return (2 * m - 1) * np.pi / n_spins
 
 
+def _coefficients(a0: np.ndarray, b: np.ndarray, a1: float, h: float) -> tuple:
+    """h a0, cx, cx^2, cy0 and cy1 of every pair for Magnus steps of length h (`_magnus`)."""
+    hb = h * b
+    cx = (1.0 - (h * h * a1) ** 2 / 60.0) * hb
+    cy1 = (h * h * a1 / 90.0) * hb  # cy = cy0 + cy1 cz^2: h^2 E_m^2 = cz^2 + (h b)^2
+    cy0 = (15.0 + hb * hb) * cy1
+    return h * a0, cx, cx * cx, cy0, cy1
+
+
+def _work(lanes: int) -> tuple:
+    """The work arrays of `_magnus_step` over `lanes` lanes: six real, then four complex."""
+    return (*np.empty((6, lanes)), *np.empty((4, lanes), dtype=complex))
+
+
+def _magnus_step(c: tuple, mid, u: np.ndarray, v: np.ndarray, w: tuple) -> None:
+    """One Magnus step of every lane of (u, v), in place, with no array allocated.
+
+    c holds the lanes' `_coefficients`, mid = h a1 (t + h/2) is a scalar or one
+    value per lane, and w is `_work` over the lanes.  cz = h a0 + mid; s holds
+    -sin|c| / |c|, so d = cos|c| + i s cz and o = s cy + i s cx are written
+    through their real and imaginary parts with no further negation.
+    """
+    ha0, cx, cx2, cy0, cy1 = c
+    cz, cz2, cy, norm, s, tmp, d, o, du, ov = w
+    np.add(ha0, mid, out=cz)
+    np.multiply(cz, cz, out=cz2)
+    np.multiply(cy1, cz2, out=cy)
+    np.add(cy0, cy, out=cy)
+    np.add(cz2, cx2, out=norm)
+    np.multiply(cy, cy, out=tmp)
+    np.add(norm, tmp, out=norm)
+    np.sqrt(norm, out=norm)
+    np.maximum(norm, 1e-300, out=tmp)  # c = 0 wherever |c| = 0
+    np.sin(norm, out=s)
+    np.divide(s, tmp, out=s)
+    np.negative(s, out=s)
+    np.cos(norm, out=d.real)
+    np.multiply(s, cz, out=d.imag)
+    np.multiply(s, cy, out=o.real)
+    np.multiply(s, cx, out=o.imag)
+    np.multiply(d, u, out=du)
+    np.multiply(o, v, out=ov)
+    np.conjugate(d, out=d)
+    np.multiply(d, v, out=v)
+    np.conjugate(o, out=o)
+    np.multiply(o, u, out=o)
+    np.subtract(v, o, out=v)
+    np.add(du, ov, out=u)
+
+
 def _magnus(a0: np.ndarray, b: np.ndarray, a1: float, y: np.ndarray,
             t0: float, t1: float, n_steps: int) -> np.ndarray:
     """Sixth-order Magnus propagation of many two-level systems from t0 to t1.
@@ -196,28 +253,46 @@ def _magnus(a0: np.ndarray, b: np.ndarray, a1: float, y: np.ndarray,
     (2009)) of the midpoint expansion, alpha3 = 0 for H linear in t; in
     su(2) the commutators are cross products.  Its exponential
     cos|c| - i sin|c| c.sigma / |c| is unitary to roundoff, so the state is
-    never renormalized.
+    never renormalized.  Each step is one `_magnus_step` on a copy of y.
     """
+    y = np.array(y, dtype=complex)
+    if n_steps >= 1:
+        h = (t1 - t0) / n_steps
+        c, w = _coefficients(a0, b, a1, h), _work(len(a0))
+        for i in range(n_steps):
+            _magnus_step(c, h * a1 * (t0 + (i + 0.5) * h), y[0], y[1], w)
+    return y
+
+
+def _march(a0: np.ndarray, b: np.ndarray, a1: float, y: np.ndarray,
+           t0: float, t1: float, n_steps: int) -> None:
+    """`_magnus` of two ensembles from t0 to t1 in one pass, in place.
+
+    y is (2, 2M): the fine lanes :M take n_steps (even) steps, the coarse lanes
+    M: take n_steps / 2 steps of twice the length.  For coarse step j, one
+    `_magnus_step` moves the fine lanes by fine step 2j, and a second moves all
+    2M lanes, the fine ones by fine step 2j + 1 and the coarse ones by coarse
+    step j, from the two ensembles' coefficients and midpoint terms laid side
+    by side.  Every lane sees the arithmetic of its own `_magnus`, bit for bit.
+    """
+    if n_steps == 0:
+        return
+    lanes = len(a0)
+    h_fine, h_coarse = (t1 - t0) / n_steps, (t1 - t0) / (n_steps // 2)
+    fine = _coefficients(a0, b, a1, h_fine)
+    both = tuple(np.concatenate(pair) for pair in zip(fine, _coefficients(a0, b, a1, h_coarse)))
+    w = _work(2 * lanes)
+    w_fine = tuple(x[:lanes] for x in w)
+    mid = np.empty(2 * lanes)
+    mid_fine, mid_coarse = mid[:lanes], mid[lanes:]
     u, v = y
-    if n_steps < 1:
-        return np.stack([u, v])
-    h = (t1 - t0) / n_steps
-    hb = h * b
-    cx = (1.0 - (h * h * a1) ** 2 / 60.0) * hb
-    cy1 = (h * h * a1 / 90.0) * hb  # cy = cy0 + cy1 cz^2: h^2 E_m^2 = cz^2 + (h b)^2
-    cy0 = (15.0 + hb * hb) * cy1
-    cx2 = cx * cx
-    ha0 = h * a0
-    for i in range(n_steps):
-        cz = ha0 + h * a1 * (t0 + (i + 0.5) * h)
-        cz2 = cz * cz
-        cy = cy0 + cy1 * cz2
-        norm = np.sqrt(cz2 + cx2 + cy * cy)
-        s = np.sin(norm) / np.maximum(norm, 1e-300)  # c = 0 wherever |c| = 0
-        d = np.cos(norm) - 1j * (s * cz)
-        o = -(s * cy) - 1j * (s * cx)
-        u, v = d * u + o * v, np.conj(d) * v - np.conj(o) * u
-    return np.stack([u, v])
+    u_fine, v_fine = u[:lanes], v[:lanes]
+    for j in range(n_steps // 2):
+        i = 2 * j
+        _magnus_step(fine, h_fine * a1 * (t0 + (i + 0.5) * h_fine), u_fine, v_fine, w_fine)
+        mid_fine.fill(h_fine * a1 * (t0 + (i + 1 + 0.5) * h_fine))
+        mid_coarse.fill(h_coarse * a1 * (t0 + (j + 0.5) * h_coarse))
+        _magnus_step(both, mid, u, v, w)
 
 
 def _adiabatic_nodes(a0: np.ndarray, b: np.ndarray, a1: float,
@@ -369,8 +444,13 @@ def _adiabatic(a0: np.ndarray, b: np.ndarray, a1: float, nodes: np.ndarray):
     as (2, M) lab-frame (u, v) arrays.
     """
     fine = coarse = (np.zeros(len(a0), dtype=complex), np.ones(len(a0), dtype=complex))
+    frame = _frame(a0, b, a1, nodes[:1, None])
     for i in range(0, len(nodes) - 1, 2):
-        frame = _frame(a0, b, a1, nodes[i:i + 3, None])  # nodes i, i + 1, i + 2
+        # nodes i, i + 1, i + 2: node i is node i + 2 of the pass before
+        frame = [
+            np.concatenate([x[-1:], x_new])
+            for x, x_new in zip(frame, _frame(a0, b, a1, nodes[i + 1:i + 3, None]))
+        ]
         alpha, beta = _exponential(
             *_filon_terms([x[[0, 1, 0]] for x in frame], [x[[1, 2, 2]] for x in frame])
         )
@@ -411,9 +491,12 @@ class ModeEnsemble:
 
     A coarse ensemble follows the fine one from the start, in steps between
     every other adiabatic node and then in half as many Magnus steps of
-    twice the length.  The Magnus segment is sixth-order, so the two
-    decoherence factors differ by about 63 times the error of the fine one,
-    and |D_fine - D_coarse| / 63 estimates the error of D (not where
+    twice the length.  Both are one (2, 2M) state, fine lanes first
+    (`_fine` and `_coarse` are views of it), and `_march` takes each
+    interval's fine and coarse Magnus steps in one in-place pass.  The
+    Magnus segment is sixth-order, so the two decoherence factors differ by
+    about 63 times the error of the fine one, and |D_fine - D_coarse| / 63
+    estimates the error of D (not where
     _MAX_ANGLE holds a step: the coarse step then turns a mode by up to pi,
     outside the asymptotic range, and the estimate can miss either way).
     The adiabatic segment is still about fourth order (on average over
@@ -424,7 +507,8 @@ class ModeEnsemble:
     tau = 2500, delta = 1e-3 it is 1.1e-10 against an estimate of 1.0e-12
     (ROADMAP item 3).  Errors made before a critical crossing show up in D
     only after it, so the estimate covers the whole run.  `error_estimate`
-    is the largest estimate at any time advanced to.
+    is the largest estimate at any time advanced to; `advance` computes D
+    there once, for the estimate, and `decoherence_factor` returns it.
     """
 
     def __init__(self, config: CentralConfig, step: float = STEP):
@@ -445,10 +529,13 @@ class ModeEnsemble:
         a = self._a0 + self._a1 * config.t_start
         e = np.hypot(a, self._b)
         y = np.stack([self._b, -(a + e)]).astype(complex)
-        self._fine = self._coarse = y / np.sqrt(np.abs(y[0]) ** 2 + np.abs(y[1]) ** 2)
+        y /= np.sqrt(np.abs(y[0]) ** 2 + np.abs(y[1]) ** 2)
+        self._y = np.concatenate([y, y], axis=1)  # the fine lanes, then the coarse ones
+        self._fine, self._coarse = np.split(self._y, 2, axis=1)
         self.plan = _plan(self._a0, self._b, self._a1, config.t_start, config.t_grid, step)
         self.t = self.handoff = config.t_start
         self.steps = self.adiabatic_steps = self._done = 0
+        self._decoherence = _overlap_product(self.mode_overlaps())
         self.error_estimate = 0.0
         self.max_step_drift = 0.0
 
@@ -461,16 +548,15 @@ class ModeEnsemble:
             frame, t0, t1, n = self.plan[self._done]
             self._done += 1
             if frame == "adiabatic":
-                self._fine, self._coarse = _adiabatic(a0, b, a1, n)
+                self._fine[...], self._coarse[...] = _adiabatic(a0, b, a1, n)
                 self.handoff, self.adiabatic_steps = t1, len(n) - 1
             else:
-                self._fine = _magnus(a0, b, a1, self._fine, t0, t1, n)
-                self._coarse = _magnus(a0, b, a1, self._coarse, t0, t1, n // 2)
+                _march(a0, b, a1, self._y, t0, t1, n)
                 self.steps += n
         self.t, fine = t, self._fine
+        self._decoherence = _overlap_product(self.mode_overlaps())
         err = abs(
-            self.decoherence_factor()
-            - _overlap_product(_branch_overlaps(self._coarse, self._n_modes))
+            self._decoherence - _overlap_product(_branch_overlaps(self._coarse, self._n_modes))
         ) / 63.0
         self.error_estimate = max(self.error_estimate, err)
         drift = float(np.max(np.abs(np.abs(fine[0]) ** 2 + np.abs(fine[1]) ** 2 - 1.0)))
@@ -482,7 +568,8 @@ class ModeEnsemble:
         return _branch_overlaps(self._fine, self._n_modes)
 
     def decoherence_factor(self) -> float:
-        return _overlap_product(self.mode_overlaps())
+        """D at the time last advanced to, or at t_start."""
+        return self._decoherence
 
 
 def qubit_state(a: float, d: float) -> XStateDensityMatrix:

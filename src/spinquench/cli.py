@@ -10,9 +10,9 @@ keeps its inputs with NaN values, is listed on stderr as `numerical failure:
 row i failed: ...`, and makes the exit code 3.  decohere marches once, which
 measures the first Werner weight of --a; the others are measured on that
 D(t).  A --config file's keys are flag names, parsed as flags in front of the
-command line's.  Output goes to --output or stdout, diagnostics to stderr.
-Exit codes: 0 success, 2 invalid configuration, 3 numerical failure.  Reruns
-give byte-identical CSV; --workers has no effect.
+command line's; a run reads one file.  Output goes to --output or stdout,
+diagnostics to stderr.  Exit codes: 0 success, 2 invalid configuration, 3
+numerical failure.  Reruns give byte-identical CSV; --workers has no effect.
 """
 
 from __future__ import annotations
@@ -169,6 +169,23 @@ def _read_config_file(path: str) -> dict:
     return values
 
 
+class _ConfigFile(ValueError):
+    """Raised by --config on a path other than that of the file already read."""
+
+    def __init__(self, action: argparse.Action, path: str):
+        super().__init__(f"--config {path}: a run reads one config file")
+        self.action, self.path = action, path
+
+
+class _ConfigFlag(argparse.Action):
+    """--config: the parse stops at a path other than the flag's default, the file read."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if values != self.default:
+            raise _ConfigFile(self, values)
+        setattr(namespace, self.dest, values)
+
+
 def _make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spinquench",
@@ -177,7 +194,9 @@ def _make_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def add_common(p):
-        p.add_argument("--config", help="flat key=value file; flags override it")
+        p.add_argument(
+            "--config", action=_ConfigFlag, help="flat key=value file; flags override it"
+        )
         p.add_argument("--output", help="CSV output path (default stdout)")
 
     def add_protocol(p):
@@ -234,17 +253,17 @@ def _make_parser() -> argparse.ArgumentParser:
 
 
 def _parse(argv) -> argparse.Namespace:
-    # the file is found first, by argparse's own rules, since required flags
-    # may be satisfied by the file itself
-    pre = argparse.ArgumentParser(prog="spinquench", add_help=False)
-    pre.add_argument("--config")
-    config_path = pre.parse_known_args(argv[1:])[0].config
-    if config_path is not None:
+    # the command's own parser finds --config (or a prefix that no other of its
+    # flags shares) and stops there, before it checks the flags the file may supply
+    parser = _make_parser()
+    try:
+        return parser.parse_args(argv)
+    except _ConfigFile as found:
+        found.action.default = found.path
         # file values go in front of the command line's flags: argparse checks
         # them as it checks flags, and a flag given again on the command line wins
-        keys = (f"--{k}={v}" for k, v in _read_config_file(config_path).items())
-        argv = [*argv[:1], *keys, *argv[1:]]
-    return _make_parser().parse_args(argv)
+        keys = [f"--{k}={v}" for k, v in _read_config_file(found.path).items()]
+    return parser.parse_args([*argv[:1], *keys, *argv[1:]])
 
 
 def main(argv=None) -> int:

@@ -503,6 +503,44 @@ class TestPlan:
         assert [s[1] for s in plan[1:]] == [s[2] for s in plan[:-1]]
         assert sum(n for *_, n in plan[1:]) == ens.steps == magnus_steps
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"n_spins": 20, "delta": 0.05, "tau": 2.0, "t_grid": (-5.0, -2.0, 0.0, 1.5, 4.0)},
+         {"n_spins": 20, "delta": 0.3, "tau": 0.1, "h_start": 1.0 + 10.0 / math.sqrt(0.1) + 1e-9,
+          "t_grid": TestMagnusPropagator.GRID[1:]}],
+        ids=["first-time-at-handoff", "angle-capped"],
+    )
+    def test_fused_march_is_two_magnus_marches_bit_for_bit(self, overrides):
+        # after every advance the fine and coarse states, and the estimate and
+        # norm defect taken from them, are those of `_magnus` run on each alone
+        cfg = CentralConfig(a=0.9, **overrides)
+        ens = ModeEnsemble(cfg)
+        a0, b, a1 = ens._a0, ens._b, ens._a1
+        frame, *_, nodes = ens.plan[0]
+        assert frame == "adiabatic"
+        fine, coarse = central._adiabatic(a0, b, a1, nodes)
+        magnus = ens.plan[1:]
+        if "h_start" in overrides:  # the angle, not STEP, sets the later step counts
+            assert any(n > 2 * math.ceil((t1 - t0) / (2 * central.STEP)) for _, t0, t1, n in magnus)
+        else:  # the first Magnus interval ends where it starts
+            assert magnus[0][3] == 0
+        err = drift = 0.0
+        for t, (_, t0, t1, n) in zip(cfg.t_grid, magnus, strict=True):
+            fine = central._magnus(a0, b, a1, fine, t0, t1, n)
+            coarse = central._magnus(a0, b, a1, coarse, t0, t1, n // 2)
+            ens.advance(t)
+            assert ens._fine.tobytes() == fine.tobytes()
+            assert ens._coarse.tobytes() == coarse.tobytes()
+            d_fine, d_coarse = (
+                central._overlap_product(central._branch_overlaps(y, ens._n_modes))
+                for y in (fine, coarse)
+            )
+            assert ens.decoherence_factor() == d_fine
+            err = max(err, abs(d_fine - d_coarse) / 63.0)
+            norm = np.abs(fine[0]) ** 2 + np.abs(fine[1]) ** 2
+            drift = max(drift, float(np.max(np.abs(norm - 1.0))))
+        assert (ens.error_estimate, ens.max_step_drift) == (err, drift)
+
     def test_advance_off_the_grid_raises_and_marches_nothing(self):
         cfg = CentralConfig(n_spins=20, delta=0.05, tau=2.0, a=0.9, t_grid=TestMagnusPropagator.GRID)
         ens = ModeEnsemble(cfg)

@@ -353,6 +353,20 @@ class TestConfigFile:
         header, rows = parse_csv(out)
         assert rows[0][header.index("n")] == 4
 
+    def test_prefix_of_two_flags_is_ambiguous(self, capsys):
+        # fit also has --column, so its parser takes --co for neither flag
+        code, out, err = run_cli(capsys, "fit", "--input", "s.csv", "--co", "Q")
+        assert (code, out) == (2, "")
+        assert "ambiguous option: --co could match --config, --column" in err
+
+    def test_second_config_file_rejected(self, tmp_path, capsys):
+        first, second = tmp_path / "a.cfg", tmp_path / "b.cfg"
+        first.write_text("protocol=ising\ntau=5\n")
+        second.write_text("n=4\n")
+        code, out, err = run_cli(capsys, "measures", "--config", str(first), "--conf", str(second))
+        assert (code, out) == (2, "")
+        assert "a run reads one config file" in err
+
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("protocol=ising\nbogus=1\n")
