@@ -6,7 +6,9 @@ holds CSV only, each file the bytes of `spinquench` calls:
 - the 19 files of scripts/figures.py, from its own calls;
 - measures_edges.csv, one header and one row per `measures` call at the edges
   of the moment kernel: Ising n = 2, 4, 6 and multicritical n = 2 at
-  tau = 1e5 .. 1e8, and three-spin J3 = 0.5 and 0.55 at tau = 1e3 .. 1e6;
+  tau = 1e5 .. 1e8, three-spin J3 = 0.5 and 0.55 at tau = 1e3 .. 1e6, and
+  the sudden quench tau = 0 of Ising n = 2, multicritical n = 4 and
+  three-spin n = 6;
 - decohere_revival.csv, the decohere-revival chain (N = 500, delta = 0.01,
   tau = 50) from h_start = 10, with two Werner weights;
 and versions.json, the Python and numpy versions the bytes were made with.
@@ -39,6 +41,9 @@ def edge_calls() -> dict[str, list[list[str]]]:
         ["measures", "--protocol", "three-spin", "--j3", j3, "--tau", tau]
         for j3 in ("0.5", "0.55")
         for tau in ("1e3", "1e4", "1e5", "1e6")
+    ] + [
+        ["measures", "--protocol", protocol, "--n", n, "--tau", "0"]
+        for protocol, n in (("ising", "2"), ("multicritical", "4"), ("three-spin", "6"))
     ]
     decohere = [
         ["decohere", "--n-spins", "500", "--delta", "0.01", "--tau", "50", "--h-start", "10",

@@ -28,10 +28,14 @@ closed form for a Hamiltonian linear in t (`_magnus`).
 
 A coarse ensemble in steps twice as long rides along for the error estimate
 (`ModeEnsemble`).  Fine and coarse pairs are the lanes of one (2, 2M) state,
-fine lanes first, and one kernel, `_magnus_step`, takes every Magnus step in
-place with no array allocated: per coarse step, `_march` moves the fine lanes
-alone and then all lanes, fine and coarse steps side by side.  `_magnus`, one
-ensemble on its own, loops the same kernel and gives the same bits.
+fine lanes first, and both segments march it in place.  A step of either
+frame is exp(-i c.sigma) on (u, v), and one kernel, `_su2_step`, applies it
+with no array allocated: `_magnus_step` forms the Magnus generator and calls
+it, and `_adiabatic` hands it c = (-Im W, -Re W, phi2).  Per coarse step,
+`_march` moves the fine lanes alone and then all lanes, fine and coarse
+steps side by side, and `_adiabatic` does the same over each pair of its
+steps.  `_magnus`, one ensemble on its own, loops the same kernel and gives
+the same bits.
 
 Both steps are unitary, so the norm defect |<psi|psi> - 1| stays at
 roundoff; it is measured at every observation time and reported as
@@ -195,27 +199,20 @@ def _coefficients(a0: np.ndarray, b: np.ndarray, a1: float, h: float) -> tuple:
 
 
 def _work(lanes: int) -> tuple:
-    """The work arrays of `_magnus_step` over `lanes` lanes: six real, then four complex."""
+    """The work arrays of the step kernels over `lanes` lanes: six real, then four complex."""
     return (*np.empty((6, lanes)), *np.empty((4, lanes), dtype=complex))
 
 
-def _magnus_step(c: tuple, mid, u: np.ndarray, v: np.ndarray, w: tuple) -> None:
-    """One Magnus step of every lane of (u, v), in place, with no array allocated.
+def _su2_step(cz, cx, cy, norm, u: np.ndarray, v: np.ndarray, w: tuple) -> None:
+    """(u, v) <- exp(-i c.sigma) (u, v) for every lane, in place, with no array allocated.
 
-    c holds the lanes' `_coefficients`, mid = h a1 (t + h/2) is a scalar or one
-    value per lane, and w is `_work` over the lanes.  cz = h a0 + mid; s holds
+    c = (cx, cy, cz) per lane, norm = |c|^2 (overwritten by |c|), and w is
+    `_work` over the lanes, of which the step uses the last six.  s holds
     -sin|c| / |c|, so d = cos|c| + i s cz and o = s cy + i s cx are written
-    through their real and imaginary parts with no further negation.
+    through their real and imaginary parts with no further negation, and the
+    step is (u, v) <- (d u + o v, d* v - o* u).
     """
-    ha0, cx, cx2, cy0, cy1 = c
-    cz, cz2, cy, norm, s, tmp, d, o, du, ov = w
-    np.add(ha0, mid, out=cz)
-    np.multiply(cz, cz, out=cz2)
-    np.multiply(cy1, cz2, out=cy)
-    np.add(cy0, cy, out=cy)
-    np.add(cz2, cx2, out=norm)
-    np.multiply(cy, cy, out=tmp)
-    np.add(norm, tmp, out=norm)
+    s, tmp, d, o, du, ov = w[4:]
     np.sqrt(norm, out=norm)
     np.maximum(norm, 1e-300, out=tmp)  # c = 0 wherever |c| = 0
     np.sin(norm, out=s)
@@ -233,6 +230,25 @@ def _magnus_step(c: tuple, mid, u: np.ndarray, v: np.ndarray, w: tuple) -> None:
     np.multiply(o, u, out=o)
     np.subtract(v, o, out=v)
     np.add(du, ov, out=u)
+
+
+def _magnus_step(c: tuple, mid, u: np.ndarray, v: np.ndarray, w: tuple) -> None:
+    """One Magnus step of every lane of (u, v), in place, with no array allocated.
+
+    c holds the lanes' `_coefficients`, mid = h a1 (t + h/2) is a scalar or one
+    value per lane, and w is `_work` over the lanes.  cz = h a0 + mid,
+    cy = cy0 + cy1 cz^2 and |c|^2 = (cz^2 + cx^2) + cy^2 go to `_su2_step`.
+    """
+    ha0, cx, cx2, cy0, cy1 = c
+    cz, cz2, cy, norm = w[:4]
+    np.add(ha0, mid, out=cz)
+    np.multiply(cz, cz, out=cz2)
+    np.multiply(cy1, cz2, out=cy)
+    np.add(cy0, cy, out=cy)
+    np.add(cz2, cx2, out=norm)
+    np.multiply(cy, cy, out=cz2)
+    np.add(norm, cz2, out=norm)
+    _su2_step(cz, cx, cy, norm, u, v, w)
 
 
 def _magnus(a0: np.ndarray, b: np.ndarray, a1: float, y: np.ndarray,
@@ -403,19 +419,6 @@ def _filon_terms(start, end):
     return z0 * (0.5 * jr + 0.5j * ji), phi2
 
 
-def _exponential(w: np.ndarray, phi2: np.ndarray):
-    """alpha, beta of exp(Omega_1 + Omega_2) = [[alpha, beta], [-beta*, alpha*]]."""
-    norm = np.sqrt(phi2 * phi2 + (w.real * w.real + w.imag * w.imag))
-    s = np.sin(norm) / np.maximum(norm, 1e-300)
-    return np.cos(norm) - 1j * (s * phi2), s * w
-
-
-def _rotate(c, alpha: np.ndarray, beta: np.ndarray):
-    """Amplitudes c = (c+, c-) after one step [[alpha, beta], [-beta*, alpha*]]."""
-    up, down = c
-    return alpha * up + beta * down, np.conj(alpha) * down - np.conj(beta) * up
-
-
 def _lab_frame(c, a: np.ndarray, b: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """(2, M) array of (u, v) for c+ e^{-i Phi} |+> + c- e^{i Phi} |->.
 
@@ -431,19 +434,27 @@ def _lab_frame(c, a: np.ndarray, b: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return np.stack([up * cos - down * sin, up * sin + down * cos])
 
 
-def _adiabatic(a0: np.ndarray, b: np.ndarray, a1: float, nodes: np.ndarray):
-    """Ground states at nodes[0] carried to nodes[-1] in the adiabatic frame.
+def _adiabatic(a0: np.ndarray, b: np.ndarray, a1: float, nodes: np.ndarray,
+               y: np.ndarray) -> None:
+    """Ground states at nodes[0] carried to nodes[-1] in the adiabatic frame, into y.
 
     In the frame of the instantaneous eigenstates, with the dynamical phase
     split off, pair j obeys dc/dt = [[0, w], [-w*, 0]] c with
     w = g e^{2i Phi}, g = -b a1 / (2 E^2) (Berry, Proc. R. Soc. A 429, 61
     (1990); Jahnke & Lubich, Numer. Math. 94, 289 (2003)); each step is
-    exp(Omega_1 + Omega_2) (`_filon_terms`).  The fine states step between
-    consecutive nodes, the coarse ones across each pair of steps; the terms
-    of a pair's three steps come from one (3, M) pass.  Both are returned
-    as (2, M) lab-frame (u, v) arrays.
+    exp(Omega_1 + Omega_2) = exp(-i c.sigma), c = (-Im W, -Re W, phi2)
+    (`_filon_terms`), taken by `_su2_step`.  y is (2, 2M) like `_march`'s:
+    its amplitudes c start at (0, 1) in every lane, the fine lanes :M step
+    between consecutive nodes and the coarse lanes M: across each pair of
+    steps.  The terms of a pair's three steps come from one (3, M) pass;
+    the fine lanes alone take the first, then all lanes take rows 1:3,
+    which flattened are the [fine | coarse] lanes.  y is overwritten with
+    the lab-frame (u, v) of every lane.
     """
-    fine = coarse = (np.zeros(len(a0), dtype=complex), np.ones(len(a0), dtype=complex))
+    lanes = len(a0)
+    w = _work(2 * lanes)
+    w_fine = tuple(x[:lanes] for x in w)
+    y[0], y[1] = 0.0, 1.0
     frame = _frame(a0, b, a1, nodes[:1, None])
     for i in range(0, len(nodes) - 1, 2):
         # nodes i, i + 1, i + 2: node i is node i + 2 of the pass before
@@ -451,13 +462,13 @@ def _adiabatic(a0: np.ndarray, b: np.ndarray, a1: float, nodes: np.ndarray):
             np.concatenate([x[-1:], x_new])
             for x, x_new in zip(frame, _frame(a0, b, a1, nodes[i + 1:i + 3, None]))
         ]
-        alpha, beta = _exponential(
-            *_filon_terms([x[[0, 1, 0]] for x in frame], [x[[1, 2, 2]] for x in frame])
-        )
-        fine = _rotate(_rotate(fine, alpha[0], beta[0]), alpha[1], beta[1])
-        coarse = _rotate(coarse, alpha[2], beta[2])
+        wt, phi2 = _filon_terms([x[[0, 1, 0]] for x in frame], [x[[1, 2, 2]] for x in frame])
+        norm = phi2 * phi2 + (wt.real * wt.real + wt.imag * wt.imag)
+        c = np.stack([phi2, -wt.imag, -wt.real, norm]).reshape(4, 3 * lanes)
+        _su2_step(*c[:, :lanes], *y[:, :lanes], w_fine)
+        _su2_step(*c[:, lanes:], *y, w)
     a, phi = a0 + a1 * nodes[-1], frame[0][2]
-    return _lab_frame(fine, a, b, phi), _lab_frame(coarse, a, b, phi)
+    y[...] = _lab_frame(y.reshape(2, 2, lanes), a, b, phi).reshape(2, 2 * lanes)
 
 
 def _branch_overlaps(y: np.ndarray, n_modes: int) -> np.ndarray:
@@ -492,8 +503,10 @@ class ModeEnsemble:
     A coarse ensemble follows the fine one from the start, in steps between
     every other adiabatic node and then in half as many Magnus steps of
     twice the length.  Both are one (2, 2M) state, fine lanes first
-    (`_fine` and `_coarse` are views of it), and `_march` takes each
-    interval's fine and coarse Magnus steps in one in-place pass.  The
+    (`_fine` and `_coarse` are views of it), which both segments advance in
+    place: `_adiabatic` marches the frame amplitudes in it and leaves the
+    lab-frame state of the hand-off, and `_march` takes each interval's
+    fine and coarse Magnus steps in one pass.  The
     Magnus segment is sixth-order, so the two decoherence factors differ by
     about 63 times the error of the fine one, and |D_fine - D_coarse| / 63
     estimates the error of D (not where
@@ -548,7 +561,7 @@ class ModeEnsemble:
             frame, t0, t1, n = self.plan[self._done]
             self._done += 1
             if frame == "adiabatic":
-                self._fine[...], self._coarse[...] = _adiabatic(a0, b, a1, n)
+                _adiabatic(a0, b, a1, n, self._y)
                 self.handoff, self.adiabatic_steps = t1, len(n) - 1
             else:
                 _march(a0, b, a1, self._y, t0, t1, n)

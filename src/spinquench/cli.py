@@ -68,7 +68,7 @@ def _build_protocol(args) -> QuenchProtocol:
 
 
 def _log_grid(lo: float, hi: float, points: int) -> list[float]:
-    if lo <= 0.0 or hi <= lo or points < 1:
+    if lo <= 0.0 or hi <= lo or points < 2:
         raise ValueError(f"bad grid spec ({lo}, {hi}, {points})")
     return list(np.geomspace(lo, hi, points))
 
@@ -203,7 +203,7 @@ def _make_parser() -> argparse.ArgumentParser:
         p.add_argument("--protocol", choices=["ising", "multicritical", "three-spin"], required=True)
         p.add_argument("--gamma", type=float, default=None, help="anisotropy (ising only)")
         p.add_argument("--j3", type=float, default=None, help="three-spin coupling")
-        p.add_argument("--n", type=int, default=2, choices=[2, 4, 6], help="spin separation")
+        p.add_argument("--n", type=int, default=2, help="spin separation: 2, 4 or 6")
 
     p = sub.add_parser("measures", help="one (protocol, tau, n) correlation report")
     p.set_defaults(run=cmd_measures)

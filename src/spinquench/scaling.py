@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .kernels import ProtocolKind, QuenchProtocol, moment_table
-from .quench import state_from_betas
+from .quench import _check_separation, state_from_betas
 from .xstate import correlations, failure
 
 # The sweeps call neither name; both stay importable here because the
@@ -81,6 +81,9 @@ def _run_rows(columns, grid, protocols, n) -> SweepTable:
     """Take every row's moments in one kernel call, build each row's X state,
     then measure all of the states at once.
 
+    A separation n other than 2, 4 or 6 raises ValueError before any moment
+    is taken (`quench._check_separation`).
+
     The moments run up to n or to the highest `beta{k}` column, whichever is
     larger.  Each row's moments are checked and its state built row by row
     (`MomentTable.betas`, `state_from_betas`), so a row whose moments missed
@@ -91,6 +94,7 @@ def _run_rows(columns, grid, protocols, n) -> SweepTable:
     the moments fill the value columns by name; the inputs, the abscissa and
     n, are written on failed rows too.
     """
+    _check_separation(n)
     data = np.full((len(grid), len(columns)), np.nan)
     data[:, 0] = grid
     if "n" in columns:

@@ -180,7 +180,8 @@ def build_xstate(c: CorrelatorSet) -> XStateDensityMatrix:
 
 def _polarization_entropy(c4: np.ndarray) -> np.ndarray:
     c4 = np.clip(c4, -1.0, 1.0)
-    return -(_xlog2((1.0 + c4) / 2.0) + _xlog2((1.0 - c4) / 2.0))
+    # 0 - x, not -x: a pure polarization's entropy is +0.0, not -0.0
+    return 0.0 - (_xlog2((1.0 + c4) / 2.0) + _xlog2((1.0 - c4) / 2.0))
 
 
 def subsystem_entropy(c4):

@@ -5,7 +5,8 @@ Hamiltonian, scipy's DOP853 at tight tolerance on a small chain swept through
 both critical points (also for fast sweeps, where the step must be refined)
 and over one step, the exact finite-time Landau-Zener solution in Weber
 functions (also at tau = 1e-3, where DOP853 drifts by 1e-9 and more), and the
-sixth-order step-halving ratio.
+sixth-order step-halving ratio.  The SU(2) step both frames share is held
+to `expm` of its generator, in the Magnus form and in the adiabatic frame's.
 """
 
 import math
@@ -342,6 +343,56 @@ def hermite_cubic(f0, d0, f1, d1):
     )
 
 
+SIGMA = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])  # x, y, z
+
+
+class TestSU2Step:
+    """`_su2_step`, the one exponential of both frames, against `expm`."""
+
+    def test_matches_expm_on_random_lanes(self):
+        rng = np.random.default_rng(30)
+        lanes = 200
+        c = rng.normal(size=(3, lanes))
+        c *= rng.uniform(0.0, 4.0, lanes) / np.linalg.norm(c, axis=0)
+        c[:, :2] = 0.0  # c = 0
+        c[:, 2:6] *= np.array([math.pi - 1e-9, math.pi, math.pi + 1e-9, math.pi - 1e-3]) / (
+            np.linalg.norm(c[:, 2:6], axis=0))  # |c| near pi
+        psi = rng.normal(size=(2, lanes)) + 1j * rng.normal(size=(2, lanes))
+        psi /= np.linalg.norm(psi, axis=0)
+        cx, cy, cz = c
+        u, v = psi.copy()
+        central._su2_step(cz, cx, cy, (cz * cz + cx * cx) + cy * cy, u, v, central._work(lanes))
+        for j in range(lanes):
+            exact = expm(-1j * np.einsum("i,ijk->jk", c[:, j], SIGMA)) @ psi[:, j]
+            assert np.abs(np.array([u[j], v[j]]) - exact).max() <= 1e-14
+
+    def test_adiabatic_step_is_the_exponential_of_the_filon_generator(self):
+        # two passes of uneven nodes near the hand-off, where |W| reaches 0.02:
+        # the fine lanes take four steps and the coarse ones two, each
+        # exp(Omega_1 + Omega_2), Omega_1 = [[0, W], [-W*, 0]], Omega_2 = -i phi2 sz
+        cfg = CentralConfig(n_spins=20, delta=0.05, tau=2.0, a=0.9, t_grid=(-2.0,))
+        ens = ModeEnsemble(cfg)
+        a0, b, a1 = ens._a0, ens._b, ens._a1
+        nodes = np.array([-8.0, -6.0, -4.0, -3.0, -2.0])
+        y = np.empty((2, 2 * len(a0)), dtype=complex)
+        central._adiabatic(a0, b, a1, nodes, y)
+        frames = [central._frame(a0, b, a1, t) for t in nodes]
+
+        def carried(steps):
+            c = np.zeros((2, len(a0)), dtype=complex)
+            c[1] = 1.0
+            for i, j in steps:
+                w, phi2 = central._filon_terms(frames[i], frames[j])
+                for m in range(len(a0)):
+                    omega = np.array([[-1j * phi2[m], w[m]], [-np.conj(w[m]), 1j * phi2[m]]])
+                    c[:, m] = expm(omega) @ c[:, m]
+            return central._lab_frame(c, a0 + a1 * nodes[-1], b, frames[-1][0])
+
+        fine = carried([(0, 1), (1, 2), (2, 3), (3, 4)])
+        coarse = carried([(0, 2), (2, 4)])
+        assert np.abs(y - np.concatenate([fine, coarse], axis=1)).max() <= 1e-14
+
+
 class TestAdiabaticSegment:
     """The adiabatic-frame segment from t_start to the hand-off, and its hand-over to Magnus."""
 
@@ -518,7 +569,9 @@ class TestPlan:
         a0, b, a1 = ens._a0, ens._b, ens._a1
         frame, *_, nodes = ens.plan[0]
         assert frame == "adiabatic"
-        fine, coarse = central._adiabatic(a0, b, a1, nodes)
+        y = np.empty((2, 2 * len(a0)), dtype=complex)
+        central._adiabatic(a0, b, a1, nodes, y)
+        fine, coarse = np.split(y, 2, axis=1)
         magnus = ens.plan[1:]
         if "h_start" in overrides:  # the angle, not STEP, sets the later step counts
             assert any(n > 2 * math.ceil((t1 - t0) / (2 * central.STEP)) for _, t0, t1, n in magnus)

@@ -152,6 +152,22 @@ class TestSweep:
         assert (code, out) == (2, "")
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("command", ["measures", "sweep"])
+    def test_bad_separation_exits_2_with_the_library_message(self, capsys, command):
+        grid = ("--tau", "1") if command == "measures" else ("--tau-min", "1", "--tau-max", "4")
+        code, out, err = run_cli(capsys, command, "--protocol", "ising", "--n", "3", *grid)
+        assert (code, out) == (2, "")
+        assert err == "error: separation n must be one of (2, 4, 6), got 3\n"
+
+    def test_one_point_tau_grid_rejected(self, capsys):
+        # one point would drop --tau-max, as one j3 point would drop --j3-max
+        code, out, err = run_cli(
+            capsys, "sweep", "--protocol", "ising", "--tau-min", "1", "--tau-max", "10",
+            "--tau-points", "1",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: bad grid spec (1.0, 10.0, 1)\n"
+
     def test_missing_grid(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--protocol", "ising", "--gamma", "1")
         assert code == 2
@@ -383,7 +399,8 @@ class TestConfigFile:
         cfg.write_text("protocol = ising\nn = 8\n")
         code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
         assert (code, out) == (2, "")
-        assert "argument --n: invalid choice: 8" in err
+        # the separation is the sweeps' rule: the file's n = 8 fails as --n 8 does
+        assert err == "error: separation n must be one of (2, 4, 6), got 8\n"
 
     def test_output_file(self, tmp_path, capsys):
         out_path = tmp_path / "row.csv"

@@ -204,6 +204,23 @@ class TestSweepTau:
         assert whole.data.tobytes() == sweep_tau(proto, 2, grid).data.tobytes()
 
 
+@pytest.mark.parametrize(
+    "run",
+    [lambda n: sweep_tau(QuenchProtocol.ising(1.0, 1.0), n, [1.0, 2.0]),
+     lambda n: sweep_j3(2.0, n, [0.0, 0.5]),
+     lambda n: scaling.measure_table(QuenchProtocol.ising(1.0, 1.0), n)],
+    ids=["sweep_tau", "sweep_j3", "measure_table"],
+)
+@pytest.mark.parametrize("n", [3, 8])
+def test_bad_separation_raises_before_any_moment(monkeypatch, run, n):
+    # no table of NaN rows: the separation is checked once, before the kernel runs
+    calls = []
+    monkeypatch.setattr(kernels, "_grid_moments", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match=rf"separation n must be one of \(2, 4, 6\), got {n}"):
+        run(n)
+    assert calls == []
+
+
 class TestSweepJ3:
     def test_j3_zero_matches_ising(self):
         t = sweep_j3(2.0, 2, [0.0, 0.5])

@@ -116,6 +116,12 @@ class TestEntropies:
         assert subsystem_entropy(-1.0) == 0.0
         assert subsystem_entropy(0.5) == pytest.approx(0.8112781244591328, abs=1e-14)
 
+    def test_pure_polarization_entropy_is_positive_zero(self):
+        # -0.0 == 0.0, so the sign is read: the CLI prints it as -0.00000000000e+00
+        for value in (subsystem_entropy(1.0), subsystem_entropy(-1.0),
+                      classical_correlation(XStateDensityMatrix(1.0, 0.0, 0.0))[0]):
+            assert math.copysign(1.0, value) == 1.0
+
     def test_subsystem_entropy_domain(self):
         with pytest.raises(ValueError):
             subsystem_entropy(1.5)
