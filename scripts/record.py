@@ -9,6 +9,10 @@ holds CSV only, each file the bytes of `spinquench` calls:
   tau = 1e5 .. 1e8, three-spin J3 = 0.5 and 0.55 at tau = 1e3 .. 1e6, and
   the sudden quench tau = 0 of Ising n = 2, multicritical n = 4 and
   three-spin n = 6;
+- sweeps_edges.csv, one header and the rows of four `sweep` calls of 25
+  tau in [0.5, 1e4] that reach the n = 4 and 6 correlator polynomials off
+  the Ising protocol: multicritical n = 4 and 6, and three-spin J3 = 0.8
+  n = 4 and 6;
 - decohere_revival.csv, the decohere-revival chain (N = 500, delta = 0.01,
   tau = 50) from h_start = 10, with two Werner weights;
 and versions.json, the Python and numpy versions the bytes were made with.
@@ -45,11 +49,18 @@ def edge_calls() -> dict[str, list[list[str]]]:
         ["measures", "--protocol", protocol, "--n", n, "--tau", "0"]
         for protocol, n in (("ising", "2"), ("multicritical", "4"), ("three-spin", "6"))
     ]
+    sweeps = [
+        ["sweep", "--protocol", protocol, *couplings, "--n", n,
+         "--tau-min", "0.5", "--tau-max", "1e4", "--tau-points", "25"]
+        for protocol, couplings in (("multicritical", []), ("three-spin", ["--j3", "0.8"]))
+        for n in ("4", "6")
+    ]
     decohere = [
         ["decohere", "--n-spins", "500", "--delta", "0.01", "--tau", "50", "--h-start", "10",
          "--t0", "-20", "--t1", "150", "--dt", "2.5", "--a", "0.3", "0.9"]
     ]
-    return {"measures_edges.csv": measures, "decohere_revival.csv": decohere}
+    return {"measures_edges.csv": measures, "sweeps_edges.csv": sweeps,
+            "decohere_revival.csv": decohere}
 
 
 def _stdout(argv: list[str]) -> str:

@@ -110,6 +110,8 @@ def cmd_sweep(args) -> int:
 def cmd_fit(args) -> int:
     with open(args.input, newline="") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
+    if len(lines) < 2:
+        raise ValueError(f"{args.input} has no data rows")
     header = lines[0].split(",")
     data = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
     if args.column not in header:

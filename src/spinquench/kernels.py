@@ -8,17 +8,21 @@ cosine moment of that probability over the Brillouin zone,
     beta_n = (1/pi) * integral_0^pi p_k cos(n k) dk.
 
 beta_0 is the defect density.  `moment_table` computes the moments of a
-batch of protocols (the rows of a sweep) together, and `MomentTable.betas`
-hands one row on as a dict keyed by n once 0 <= beta_0 <= 1 and
-|beta_n| <= beta_0 hold; `beta_n` and `compute_betas` are batches of one.
+batch of protocols (the rows of a sweep, or one protocol at every tau of a
+grid) together, on one table of nodes per midpoint grid.
+`MomentTable.failures` applies the row rules to the whole table as masks:
+the kernel's tolerance and node cap, then 0 <= beta_0 <= 1, then
+|beta_n| <= beta_0.  `MomentTable.betas` hands one row on as a dict keyed by
+n; `beta_n` and `compute_betas` are batches of one.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -44,6 +48,12 @@ class QuadratureError(RuntimeError):
         self.error_bound = error_bound
 
 
+def _check_tau(tau: float):
+    """The inverse rate's rule: finite and >= 0."""
+    if not (tau >= 0.0) or not math.isfinite(tau):
+        raise ValueError(f"tau must be finite and >= 0, got {tau}")
+
+
 @dataclass(frozen=True)
 class QuenchProtocol:
     """A quench protocol: sweep kind, its couplings, and the inverse rate tau.
@@ -58,8 +68,7 @@ class QuenchProtocol:
     j3: float | None = None
 
     def __post_init__(self):
-        if not (self.tau >= 0.0) or not math.isfinite(self.tau):
-            raise ValueError(f"tau must be finite and >= 0, got {self.tau}")
+        _check_tau(self.tau)
         if self.kind is ProtocolKind.ISING:
             if self.gamma is None or not (0.0 < self.gamma <= 1.0):
                 raise ValueError(f"Ising quench requires 0 < gamma <= 1, got {self.gamma}")
@@ -85,15 +94,6 @@ class QuenchProtocol:
     @classmethod
     def three_spin(cls, j3: float, tau: float) -> "QuenchProtocol":
         return cls(ProtocolKind.THREE_SPIN, tau, j3=j3)
-
-
-def _exponent(kind: ProtocolKind, gamma, j3, k):
-    # f(k) in p_k = exp(-pi tau f(k)); gamma and j3 broadcast against k
-    if kind is ProtocolKind.ISING:
-        return gamma**2 * np.sin(k) ** 2
-    if kind is ProtocolKind.MULTICRITICAL:
-        return (1.0 + np.cos(k)) ** 2 * np.sin(k) ** 2
-    return (np.sin(k) - j3 * np.sin(2.0 * k)) ** 2
 
 
 # p_k cos(n k) is smooth, even and 2 pi-periodic in k for every protocol, so
@@ -134,26 +134,65 @@ def _slope(protocol: QuenchProtocol) -> float:
     return 1.0 + 2.0 * protocol.j3
 
 
-def _nodes(protocol: QuenchProtocol, n_max: int) -> int:
-    need = 24.0 * _slope(protocol) * math.sqrt(protocol.tau) + n_max
+def _nodes(protocol: QuenchProtocol, tau: float, n_max: int) -> int:
+    need = 24.0 * _slope(protocol) * math.sqrt(tau) + n_max
     return max(_M_FLOOR, 2 ** math.ceil(math.log2(need)))
 
 
-def _grid_moments(
-    kind: ProtocolKind, protocols: Sequence[QuenchProtocol], m: int, ns: Sequence[int]
-) -> np.ndarray:
-    """Midpoint rule on m nodes: moments (rows, len(ns)) of protocols of one kind.
+class _Grid(NamedTuple):
+    """The k-dependent factors of one m-point midpoint grid, computed once per grid:
+    each kind's factor of the exponent f(k) in p_k = exp(-pi tau f(k)), and
+    cos(n k) for every n > 0 of the moments."""
 
-    One (rows, m) array of p_k serves every n.
-    """
+    m: int
+    factors: dict
+    cosines: dict
+
+
+def _grid(m: int, kinds: set, ns: Sequence[int]) -> _Grid:
+    # k goes as soon as its last function is taken, and the multicritical
+    # factor is formed in place: at the node cap, where one array is 32 MB,
+    # the table's build peaks no higher than a pass on it
     k = (np.arange(m) + 0.5) * (np.pi / m)
-    tau = np.array([p.tau for p in protocols])[:, None]
-    gamma = np.array([p.gamma for p in protocols], dtype=float)[:, None]
-    j3 = np.array([p.j3 for p in protocols], dtype=float)[:, None]
-    p = np.exp(-np.pi * tau * _exponent(kind, gamma, j3, k))
-    out = np.empty((len(protocols), len(ns)))
+    cosines = {n: np.cos(n * k) for n in ns if n}
+    sin, factors = np.sin(k), {}
+    if ProtocolKind.THREE_SPIN in kinds:  # f = (sin k - j3 sin 2k)^2
+        factors[ProtocolKind.THREE_SPIN] = (sin, np.sin(2.0 * k))
+    if ProtocolKind.MULTICRITICAL in kinds:  # f = (1 + cos k)^2 sin^2 k
+        f = np.cos(k)
+        del k
+        f += 1.0
+        f **= 2
+        f *= sin**2
+        factors[ProtocolKind.MULTICRITICAL] = f
+    if ProtocolKind.ISING in kinds:  # f = gamma^2 sin^2 k
+        factors[ProtocolKind.ISING] = sin**2
+    return _Grid(m, factors, cosines)
+
+
+def _grid_moments(
+    kind: ProtocolKind, tau: np.ndarray, gamma: np.ndarray, j3: np.ndarray, grid: _Grid,
+    ns: Sequence[int],
+) -> np.ndarray:
+    """Midpoint rule on the grid: moments (rows, len(ns)) of rows of one kind,
+    given by their tau, gamma and j3 (NaN where the kind has none).
+
+    One (rows, m) array of p_k serves every n; n = 0 takes p_k itself.
+    """
+    tau, gamma, j3 = tau[:, None], gamma[:, None], j3[:, None]
+    factor = grid.factors[kind]
+    if kind is ProtocolKind.ISING:
+        f = gamma**2 * factor
+    elif kind is ProtocolKind.MULTICRITICAL:
+        f = factor
+    else:
+        f = (factor[0] - j3 * factor[1]) ** 2
+    p = -np.pi * tau * f
+    np.exp(p, out=p)
+    out = np.empty((len(tau), len(ns)))
     for j, n in enumerate(ns):
-        out[:, j] = np.mean(p * np.cos(n * k), axis=1)
+        # np.mean's own arithmetic, without its per-call overhead
+        out[:, j] = np.add.reduce(p * grid.cosines[n] if n else p, axis=1) / grid.m
     return out
 
 
@@ -178,7 +217,8 @@ class MomentTable:
     midpoint rule (at least the spike's mass past the node cap), the series'
     bound, 0 where exact.  `nodes` is a row's midpoint-rule M, which exceeds
     `_M_CAP` for a row the cap could not serve; it is 0 for the sudden limit
-    and for series rows.
+    and for series rows.  `taus`, when given, are the rows' inverse rates in
+    place of their protocols' own tau (a tau sweep of `moment_table`).
     """
 
     protocols: tuple[QuenchProtocol, ...]
@@ -186,49 +226,91 @@ class MomentTable:
     values: np.ndarray
     errors: np.ndarray
     nodes: tuple[int, ...]
+    taus: tuple[float, ...] | None = None
+
+    def protocol(self, i: int) -> QuenchProtocol:
+        """Row i's protocol at the row's own tau."""
+        p = self.protocols[i]
+        return p if self.taus is None else dataclasses.replace(p, tau=self.taus[i])
+
+    def failures(self) -> dict[int, Exception]:
+        """Each failed row's error, by the first rule it breaks in this order:
+        the kernel's tolerance `_TOL` and node cap `_M_CAP` (`QuadratureError`),
+        then 0 <= beta_0 <= 1, then |beta_n| <= beta_0 for the first such n
+        (`ValueError`; the last two only when the table has beta_0)."""
+        quad = (np.array(self.nodes) > _M_CAP) | np.any(self.errors > _TOL, axis=1)
+        out: dict[int, Exception] = {}
+        for i in np.flatnonzero(quad).tolist():
+            j = int(np.argmax(self.errors[i]))
+            out[i] = QuadratureError(
+                f"beta_{self.ns[j]} for {self.protocol(i)} needs {self.nodes[i]} midpoint nodes "
+                f"(cap {_M_CAP}, tolerance {_TOL})",
+                float(self.values[i, j]),
+                float(self.errors[i, j]),
+            )
+        if 0 not in self.ns:
+            return out
+        k = self.ns.index(0)
+        b0 = self.values[:, k]
+        outside = ~((-1e-12 <= b0) & (b0 <= 1.0 + 1e-12))
+        exceeds = np.abs(self.values) > (b0 + 1e-10)[:, None]
+        for i in np.flatnonzero(~quad & (outside | np.any(exceeds, axis=1))).tolist():
+            row, j = self.values[i].tolist(), int(np.argmax(exceeds[i]))
+            out[i] = ValueError(
+                f"beta_0 = {row[k]} outside [0, 1]" if outside[i]
+                else f"|beta_{self.ns[j]}| = {abs(row[j])} exceeds beta_0 = {row[k]}"
+            )
+        return out
 
     def row(self, i: int) -> np.ndarray:
         """Row i's moments; raises the row's own `QuadratureError` when it
         missed `_TOL` or the node cap."""
-        err, m = self.errors[i], self.nodes[i]
-        if m > _M_CAP or np.any(err > _TOL):
-            j = int(np.argmax(err))
-            raise QuadratureError(
-                f"beta_{self.ns[j]} for {self.protocols[i]} needs {m} midpoint nodes "
-                f"(cap {_M_CAP}, tolerance {_TOL})",
-                float(self.values[i, j]),
-                float(err[j]),
-            )
+        exc = self.failures().get(i)
+        if isinstance(exc, QuadratureError):
+            raise exc
         return self.values[i]
 
     def betas(self, i: int) -> dict[int, float]:
-        """Row i as a dict keyed by n (`row`); raises `ValueError` when beta_0
-        lies outside [0, 1] or some |beta_n| exceeds beta_0."""
-        values = dict(zip(self.ns, self.row(i).tolist()))
-        b0 = values[0]
-        if not (-1e-12 <= b0 <= 1.0 + 1e-12):
-            raise ValueError(f"beta_0 = {b0} outside [0, 1]")
-        for n, b in values.items():
-            if abs(b) > b0 + 1e-10:
-                raise ValueError(f"|beta_{n}| = {abs(b)} exceeds beta_0 = {b0}")
-        return values
+        """Row i as a dict keyed by n; raises the row's error from `failures`."""
+        exc = self.failures().get(i)
+        if exc is not None:
+            raise exc
+        return dict(zip(self.ns, self.values[i].tolist()))
 
 
-def moment_table(protocols: Sequence[QuenchProtocol], ns: Sequence[int]) -> MomentTable:
+def moment_table(
+    protocols: Sequence[QuenchProtocol], ns: Sequence[int], taus: Sequence[float] | None = None
+) -> MomentTable:
     """Cosine moments (1/pi) * integral_0^pi p_k cos(n k) dk for every n in ns
     of every protocol.
+
+    With `taus`, `protocols` holds one protocol and the rows are that
+    protocol at each tau of `taus`, checked as `QuenchProtocol` checks its
+    own: a tau sweep makes no protocol object per row.
 
     tau = 0 rows are exact (p_k == 1).  An Ising row with
     x = pi tau gamma^2 / 2 >= `_X_SERIES` takes the large-argument series when
     its bound meets `_TOL` for every n; every other row takes the midpoint
     rule.  Midpoint rows are grouped by protocol kind and M, in chunks of at
     most `_M_CAP` grid points, and each chunk's moments come from one
-    (rows, M) and one (rows, M/2) array of p_k.  Ising odd moments are exactly
+    (rows, M) and one (rows, M/2) array of p_k.  The passes run grid by grid,
+    finest first, each grid on one `_Grid` table of nodes: grid M serves the
+    fine passes of the rows on M and the coarse passes of the rows on 2M, and
+    only one grid's table is live at a time.  Ising odd moments are exactly
     0 (k -> pi - k symmetry); the other protocols' are computed.  Each row's
     values are the ones it gets in a batch of its own; a row that failed
-    raises only from `MomentTable.row`.
+    raises only from `MomentTable.row` and `MomentTable.betas`.
     """
     protocols = tuple(protocols)
+    if taus is None:
+        tau = [p.tau for p in protocols]
+    else:
+        if len(protocols) != 1:
+            raise ValueError(f"a tau sweep takes one protocol, got {len(protocols)}")
+        tau = [float(t) for t in taus]
+        for t in tau:
+            _check_tau(t)
+        protocols, taus = protocols * len(tau), tuple(tau)
     ns = tuple(ns)
     for n in ns:
         if n < 0 or int(n) != n:
@@ -241,7 +323,7 @@ def moment_table(protocols: Sequence[QuenchProtocol], ns: Sequence[int]) -> Mome
     nodes = [0] * len(protocols)
 
     ising = [i for i, p in enumerate(protocols) if p.kind is ProtocolKind.ISING]
-    x = {i: 0.5 * math.pi * protocols[i].tau * protocols[i].gamma**2 for i in ising}
+    x = {i: 0.5 * math.pi * tau[i] * protocols[i].gamma**2 for i in ising}
     far = [i for i in ising if x[i] >= _X_SERIES]
     on_series = set()
     if far:
@@ -253,27 +335,39 @@ def moment_table(protocols: Sequence[QuenchProtocol], ns: Sequence[int]) -> Mome
                 on_series.add(i)
 
     groups: dict[tuple[ProtocolKind, int], list[int]] = {}
+    n_max = max(ns, default=0)
     for i, p in enumerate(protocols):
-        if p.tau == 0.0:
+        if tau[i] == 0.0:
             values[i] = n_arr == 0  # sudden limit: p_k == 1
         elif i not in on_series:
-            nodes[i] = _nodes(p, max(ns, default=0))
+            nodes[i] = _nodes(p, tau[i], n_max)
             groups.setdefault((p.kind, min(nodes[i], _M_CAP)), []).append(i)
+    passes: dict[int, list[tuple[ProtocolKind, list[int], bool]]] = {}
     for (kind, m), rows in groups.items():
         per_pass = max(1, _M_CAP // m)
         for start in range(0, len(rows), per_pass):
             chunk = rows[start : start + per_pass]
-            batch = [protocols[i] for i in chunk]
-            fine = _grid_moments(kind, batch, m, ns)
-            values[chunk] = fine
-            errors[chunk] = np.abs(fine - _grid_moments(kind, batch, m // 2, ns))
+            passes.setdefault(m, []).append((kind, chunk, True))
+            passes.setdefault(m // 2, []).append((kind, chunk, False))
+    params = [np.array(a, dtype=float) for a in (
+        tau, [p.gamma for p in protocols], [p.j3 for p in protocols])]
+    for m in sorted(passes, reverse=True):
+        grid = _grid(m, {kind for kind, _, _ in passes[m]}, ns)
+        for kind, chunk, fine in passes[m]:
+            moments = _grid_moments(kind, *(a[chunk] for a in params), grid, ns)
+            if fine:
+                values[chunk] = moments
+            else:
+                errors[chunk] = np.abs(values[chunk] - moments)
+        del grid  # before the next grid's table is built
     for i in [i for i, m in enumerate(nodes) if m > _M_CAP]:
         # the capped grid may miss the whole spike, of mass 1/(2 pi s sqrt(tau))
-        p = protocols[i]
-        errors[i] = np.maximum(errors[i], 1.0 / (2.0 * math.pi * _slope(p) * math.sqrt(p.tau)))
+        errors[i] = np.maximum(
+            errors[i], 1.0 / (2.0 * math.pi * _slope(protocols[i]) * math.sqrt(tau[i]))
+        )
     values[np.ix_(ising, odd)] = 0.0
     errors[np.ix_(ising, odd)] = 0.0
-    return MomentTable(protocols, ns, values, errors, tuple(nodes))
+    return MomentTable(protocols, ns, values, errors, tuple(nodes), taus)
 
 
 def beta_n(protocol: QuenchProtocol, n: int) -> float:

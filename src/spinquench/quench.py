@@ -2,11 +2,14 @@
 
 The correlators at separation n are polynomials in the moments beta_0 .. beta_n
 (closed expressions exist for n = 2, 4, 6), read from any mapping of n to
-beta_n.  `measures` runs the full pipeline moments -> correlators -> X state
-(`state_from_betas`) -> {mutual information, classical correlation, discord,
-concurrence} (`measure_state`, a batch of one of `xstate.correlations`) for
-the library; the sweeps and the CLI take the same steps through
-`scaling._run_rows`, which measures all their rows at once.
+beta_n, floats or arrays alike; their powers go through libm's pow, as
+Python's ** does, so that an array gives each row's bits.  `measures` runs
+the full pipeline moments -> correlators -> X state (`state_from_betas`) ->
+{mutual information, classical correlation, discord, concurrence}
+(`measure_state`, a batch of one of `xstate.correlations`) for the library;
+the sweeps and the CLI take the same steps on every row at once:
+`states_from_moments` builds all rows' X states from a `MomentTable` as one
+`XStateBatch`, and `scaling._run_rows` measures it.
 
 `closed_form_I_n2` / `closed_form_C_n2` evaluate the printed n = 2 expressions
 verbatim as an independent cross-check of the pipeline.  Note: the closed-form
@@ -23,13 +26,17 @@ from __future__ import annotations
 import math
 from typing import Mapping
 
-from .kernels import QuenchProtocol, compute_betas
+import numpy as np
+
+from .kernels import MomentTable, QuenchProtocol, compute_betas
 from .xstate import (
     CorrelationReport,
     CorrelatorSet,
     MeasurementBasis,
+    XStateBatch,
     XStateDensityMatrix,
     build_xstate,
+    build_xstates,
     correlations,
     failure,
 )
@@ -46,6 +53,34 @@ def _check_separation(n: int):
         raise ValueError(f"separation n must be one of {_SEPARATIONS}, got {n}")
 
 
+def _correlators(betas: Mapping[int, float], n: int):
+    """(c1, c3, c4) at separation n: floats, or arrays of rows.  Powers go
+    through np.float_power, libm's pow, which Python's ** calls too; numpy's
+    array ** squares and multiplies, and differs from it in the last bit."""
+    b0 = betas[0]
+    m = 1.0 - 2.0 * b0
+    c4 = m
+    c3 = c4 * c4 - 4.0 * np.float_power(betas[n], 2)
+    if n == 2:
+        c1 = 0.5 * betas[2] * m
+    elif n == 4:
+        b2, b4 = betas[2], betas[4]
+        c1 = (
+            m * m * b2 * b2 - 4.0 * np.float_power(b2, 4) + 0.5 * b4 * np.float_power(m, 3)
+            - 2.0 * b2 * b2 * b4 * m
+        )
+    else:
+        b2, b4, b6 = betas[2], betas[4], betas[6]
+        c1 = (
+            -0.5
+            * (2.0 * b4 + m)
+            * (8.0 * b2 * b2 + 2.0 * b4 * m - m * m)
+            * (4.0 * np.float_power(b2, 3) - 4.0 * b2 * b2 * b6 + 4.0 * b2 * b4 * b4
+               + 4.0 * b2 * b4 * m + b6 * m * m)
+        )
+    return c1, c3, c4
+
+
 def correlators_from_betas(betas: Mapping[int, float], n: int) -> CorrelatorSet:
     """Two-spin correlators at separation n from the moments beta_0 .. beta_n.
 
@@ -54,24 +89,22 @@ def correlators_from_betas(betas: Mapping[int, float], n: int) -> CorrelatorSet:
     c4 = -G_0 = 1 - 2 beta_0 and c3 = c4^2 - 4 beta_n^2.
     """
     _check_separation(n)
-    b0 = betas[0]
-    m = 1.0 - 2.0 * b0
-    c4 = m
-    c3 = c4 * c4 - 4.0 * betas[n] ** 2
-    if n == 2:
-        c1 = 0.5 * betas[2] * m
-    elif n == 4:
-        b2, b4 = betas[2], betas[4]
-        c1 = m * m * b2 * b2 - 4.0 * b2**4 + 0.5 * b4 * m**3 - 2.0 * b2 * b2 * b4 * m
-    else:
-        b2, b4, b6 = betas[2], betas[4], betas[6]
-        c1 = (
-            -0.5
-            * (2.0 * b4 + m)
-            * (8.0 * b2 * b2 + 2.0 * b4 * m - m * m)
-            * (4.0 * b2**3 - 4.0 * b2 * b2 * b6 + 4.0 * b2 * b4 * b4 + 4.0 * b2 * b4 * m + b6 * m * m)
-        )
+    c1, c3, c4 = (float(c) for c in _correlators(betas, n))
     return CorrelatorSet(c1=c1, c2=c1, c3=c3, c4=c4)
+
+
+def states_from_moments(moments: MomentTable, n: int) -> tuple[XStateBatch, dict[int, str]]:
+    """Every row's X state at separation n, built from `moments.values` as
+    arrays, and why each failed row failed, by the first rule it breaks:
+    the table's (`MomentTable.failures`), then those of `xstate.build_xstates`.
+    A failed row holds NaN and moves no other row."""
+    _check_separation(n)
+    failed = {i: str(exc) for i, exc in moments.failures().items()}
+    values = moments.values.copy()
+    values[list(failed)] = np.nan
+    c1, c3, c4 = _correlators({k: values[:, j] for j, k in enumerate(moments.ns)}, n)
+    states, broken = build_xstates(c1, c1, c3, c4)
+    return states, broken | failed
 
 
 def correlators(protocol: QuenchProtocol, n: int) -> CorrelatorSet:

@@ -4,23 +4,24 @@
 `sweep_j3` scans the three-spin coupling at fixed rate; `measure_table` is
 the one-row table of a single protocol, with its moments beta_0 .. beta_6.
 `fit_loglog` extracts d(ln y)/d(ln x) by ordinary least squares.  All three
-tables come from `_run_rows`: the moments of all rows from one kernel call
-(`moment_table`), each row's X state built from them in grid order, and
-`xstate.correlations` measuring all of the states in one call.  A row that
-fails keeps its inputs, holds NaN values and is listed in the table's errors.
+tables come from `_run_rows` as array passes over all rows: their moments
+from one kernel call (`moment_table`, which takes a tau sweep's grid as an
+array), all rows' X states built from the moments at once
+(`quench.states_from_moments`), and `xstate.correlations` measuring them in
+one call.  A row that fails keeps its inputs, holds NaN values and is listed
+in the table's errors.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .kernels import ProtocolKind, QuenchProtocol, moment_table
-from .quench import _check_separation, state_from_betas
-from .xstate import correlations, failure
+from .quench import _check_separation, states_from_moments
+from .xstate import correlations, failures
 
 # The sweeps call neither name; both stay importable here because the
 # benchmark's tracer wraps them at this module (LOOKUPS in bench/tracing.py).
@@ -77,47 +78,44 @@ class ScalingFit:
             raise ValueError(f"r_squared = {self.r_squared} outside [0, 1]")
 
 
-def _run_rows(columns, grid, protocols, n) -> SweepTable:
-    """Take every row's moments in one kernel call, build each row's X state,
-    then measure all of the states at once.
+def _run_rows(columns, grid, protocols, n, taus=None) -> SweepTable:
+    """Take every row's moments in one kernel call, build all rows' X states
+    from them at once, then measure all of the states at once.
 
     A separation n other than 2, 4 or 6 raises ValueError before any moment
-    is taken (`quench._check_separation`).
+    is taken (`quench._check_separation`).  `protocols` and `taus` go to
+    `moment_table`.
 
     The moments run up to n or to the highest `beta{k}` column, whichever is
-    larger.  Each row's moments are checked and its state built row by row
-    (`MomentTable.betas`, `state_from_betas`), so a row whose moments missed
-    the kernel's tolerance, or whose state fails, holds NaNs and is listed in
-    the errors while the others go on.  `xstate.correlations` then measures
-    the built states in one call; a state it marks failed (NaN I) fails its
-    row alone, listed with the reason `xstate.failure` gives.  Its result and
-    the moments fill the value columns by name; the inputs, the abscissa and
-    n, are written on failed rows too.
+    larger.  `states_from_moments` checks the rows as masks, so a row whose
+    moments missed the kernel's tolerance, or whose state fails, holds NaNs
+    and is listed in the errors while the others go on.
+    `xstate.correlations` then measures the batch in one call; a state it
+    marks failed (NaN I) fails its row alone, listed with the reason
+    `xstate.failures` gives.  Its result and the moments fill the value
+    columns by name; the inputs, the abscissa and n, are written on failed
+    rows too.
     """
     _check_separation(n)
     data = np.full((len(grid), len(columns)), np.nan)
     data[:, 0] = grid
     if "n" in columns:
         data[:, columns.index("n")] = n
-    errors = []
     orders = [int(name[4:]) for name in columns if name.startswith("beta")]
-    moments = moment_table(protocols, range(0, max([n, *orders]) + 1, 2))
-    rows, states = [], []
-    for i in range(len(protocols)):
-        try:
-            states.append(state_from_betas(moments.betas(i), n))
-            rows.append(i)
-        except (ValueError, RuntimeError) as exc:
-            errors.append((i, str(exc)))
-    rows = np.array(rows, dtype=int)
+    moments = moment_table(protocols, range(0, max([n, *orders]) + 1, 2), taus)
+    states, errors = states_from_moments(moments, n)
     values = correlations(states)
-    values |= {f"beta{k}": moments.values[rows, moments.ns.index(k)] for k in orders}
-    ok = ~np.isnan(values["I"])
+    values |= {f"beta{k}": moments.values[:, moments.ns.index(k)] for k in orders}
+    ok = np.ones(len(grid), dtype=bool)
+    ok[list(errors)] = False
+    marked = ok & np.isnan(values["I"])
+    if marked.any():
+        errors = failures(states) | errors
+        ok &= ~marked
     for col, name in enumerate(columns):
         if name not in (columns[0], "n"):
-            data[rows[ok], col] = values[name][ok]
-    errors += [(int(rows[j]), failure(states[j])) for j in np.flatnonzero(~ok)]
-    return SweepTable(columns=columns, data=data, errors=tuple(sorted(errors)))
+            data[ok, col] = values[name][ok]
+    return SweepTable(columns=columns, data=data, errors=tuple(sorted(errors.items())))
 
 
 def measure_table(protocol: QuenchProtocol, n: int) -> SweepTable:
@@ -130,8 +128,7 @@ def sweep_tau(protocol: QuenchProtocol, n: int, tau_grid: Sequence[float]) -> Sw
     grid = [float(t) for t in tau_grid]
     if any(t <= 0.0 for t in grid) or any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("tau_grid must be positive and strictly increasing")
-    protocols = [dataclasses.replace(protocol, tau=t) for t in grid]
-    return _run_rows(TAU_COLUMNS, grid, protocols, n)
+    return _run_rows(TAU_COLUMNS, grid, [protocol], n, taus=grid)
 
 
 def sweep_j3(tau: float, n: int, j3_grid: Sequence[float]) -> SweepTable:

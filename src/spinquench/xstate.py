@@ -1,22 +1,27 @@
 """Two-qubit X-state algebra: entropies, mutual information, discord, concurrence.
 
-States are `XStateDensityMatrix` instances, whose only nonzero entries sit
-on the diagonal and anti-diagonal (basis |A> tensor |B>, ordering uu, ud, du,
-dd).  Every measure takes X states only.  Two dense helpers,
-`conditional_entropy` and `concurrence_wootters`, also take a 4x4 matrix:
-the benchmark reads them, and the tests use them as oracles.  All entropies
-are in bits with the 0 log 0 = 0 convention.
+One state is an `XStateDensityMatrix`, whose only nonzero entries sit on the
+diagonal and anti-diagonal (basis |A> tensor |B>, ordering uu, ud, du, dd); a
+batch of states is an `XStateBatch`, the same five entries as arrays.
+`build_xstates` makes a batch from correlator arrays and applies the rules of
+`CorrelatorSet`, `build_xstate` and `XStateDensityMatrix` to it as masks, so
+that a state that breaks one fails alone; `CorrelatorSet` and `build_xstate`
+are its batches of one.  Every measure takes X states only.  Two dense
+helpers, `conditional_entropy` and `concurrence_wootters`, also take a 4x4
+matrix: the benchmark reads them, and the tests use them as oracles.  All
+entropies are in bits with the 0 log 0 = 0 convention.
 
 The classical correlation maximizes the information a projective measurement
 on qubit B yields about qubit A; discord is mutual information minus it.  For
 an X state the best azimuth has a closed form, so the search is over the polar
-angle alone.  `correlations`, which the sweeps, the central-qubit trace and
-`quench` call, reads each state once (`_fields`) and takes every measure as an
-array pass over that read.  One failure rule covers I, C and Q: a state with
-an eigenvalue below -`_EIG_CLAMP` or |z| > 1 gets NaN there and moves no
-other state; the single-state functions, batches of one, raise ValueError on it.
-`failure` words the rule for a marked state, for those errors and for the
-failed rows of the sweeps and `quench.measure_state`.
+angle alone, with both measurement outcomes in one array pass.
+`correlations`, which the sweeps, the central-qubit trace and `quench` call,
+reads a list or a batch of states once (`_fields`) and takes every measure as
+an array pass over that read.  One failure rule covers I, C and Q: a state
+with an eigenvalue below -`_EIG_CLAMP` or |z| > 1 gets NaN there and moves no
+other state; the single-state functions, batches of one, raise ValueError on
+it.  `failures` words the rule for each marked state, for those errors and
+for the failed rows of the sweeps and `quench.measure_state`.
 """
 
 from __future__ import annotations
@@ -44,10 +49,8 @@ class CorrelatorSet:
     c4: float
 
     def __post_init__(self):
-        for name in ("c1", "c2", "c3", "c4"):
-            v = getattr(self, name)
-            if not (-1.0 - 1e-9 <= v <= 1.0 + 1e-9):
-                raise ValueError(f"{name} = {v} outside [-1, 1]")
+        cs = (self.c1, self.c2, self.c3, self.c4)
+        _raise_first(_correlator_failures(*(np.array([c]) for c in cs)))
 
 
 @dataclass(frozen=True)
@@ -62,6 +65,8 @@ class XStateDensityMatrix:
     b2: complex = 0.0
 
     def __post_init__(self):
+        # scalar code: a state is built per observation of every central-qubit
+        # trace; `_state_failures` applies the same checks to a batch as masks
         tr = self.a_plus + self.a_minus + 2.0 * self.a_zero
         if abs(tr - 1.0) > 1e-10:
             raise ValueError(f"trace = {tr}, expected 1")
@@ -91,6 +96,85 @@ class XStateDensityMatrix:
         return np.array(
             [mean + disc, mean - disc, self.a_zero + abs(self.b2), self.a_zero - abs(self.b2)]
         )
+
+
+@dataclass(frozen=True)
+class XStateBatch:
+    """X states as arrays, one entry per state: the populations a_plus, a_minus,
+    a_zero and the coherences b1, b2 (real or complex) of `XStateDensityMatrix`.
+
+    `correlations` reads a batch with numpy and a list of states with libm per
+    state; the two reads agree bit for bit where b1 = 0 and b2 is real, as on
+    the quench states.
+    """
+
+    a_plus: np.ndarray
+    a_minus: np.ndarray
+    a_zero: np.ndarray
+    b1: np.ndarray
+    b2: np.ndarray
+
+
+def _raise_first(failed: dict[int, str]):
+    # a batch of one breaks a rule: raise its message
+    if failed:
+        raise ValueError(failed[0])
+
+
+def _mark(failed: dict[int, str], mask: np.ndarray, message):
+    # each state the mask marks fails with message(i), unless it failed already
+    for i in np.flatnonzero(mask).tolist():
+        failed.setdefault(i, message(i))
+
+
+def _correlator_failures(c1, c2, c3, c4) -> dict[int, str]:
+    """`CorrelatorSet`'s rule: each correlator in [-1, 1], in the order c1 .. c4."""
+    failed: dict[int, str] = {}
+    for name, v in (("c1", c1), ("c2", c2), ("c3", c3), ("c4", c4)):
+        _mark(failed, ~((-1.0 - 1e-9 <= v) & (v <= 1.0 + 1e-9)),
+              lambda i: f"{name} = {float(v[i])} outside [-1, 1]")
+    return failed
+
+
+def _state_failures(x: XStateBatch) -> dict[int, str]:
+    """`XStateDensityMatrix`'s checks as masks over a batch, in its order:
+    unit trace, populations above -`_EIG_CLAMP`, |b1| <= sqrt(a_plus a_minus),
+    |b2| <= a_zero."""
+    failed: dict[int, str] = {}
+    tr = x.a_plus + x.a_minus + 2.0 * x.a_zero
+    _mark(failed, np.abs(tr - 1.0) > 1e-10, lambda i: f"trace = {float(tr[i])}, expected 1")
+    for name in ("a_plus", "a_minus", "a_zero"):
+        v = getattr(x, name)
+        _mark(failed, v < -_EIG_CLAMP, lambda i: f"population {name} = {float(v[i])} < 0")
+    prod = x.a_plus * x.a_minus
+    _mark(failed, np.abs(x.b1) > np.sqrt(np.where(0.0 > prod, 0.0, prod)) + 1e-9,
+          lambda i: "positivity violated: |b1| > sqrt(a_plus a_minus)")
+    _mark(failed, np.abs(x.b2) > x.a_zero + 1e-9, lambda i: "positivity violated: |b2| > a_zero")
+    return failed
+
+
+def build_xstates(c1, c2, c3, c4) -> tuple[XStateBatch, dict[int, str]]:
+    """The X states whose correlators are the arrays c1 .. c4, and why each
+    failed state failed, by the first rule it breaks in this order:
+    `CorrelatorSet`'s range, a population below -`_CLAMP_TOL` (a_plus,
+    a_minus, a_zero; populations in [-_CLAMP_TOL, 0) are quadrature noise and
+    clamp to 0), then `XStateDensityMatrix`'s rule.  A failed state holds NaN.
+    """
+    failed = _correlator_failures(c1, c2, c3, c4)
+    populations = {
+        "a_plus": (1.0 + c3 + 2.0 * c4) / 4.0,
+        "a_minus": (1.0 + c3 - 2.0 * c4) / 4.0,
+        "a_zero": (1.0 - c3) / 4.0,
+    }
+    for name, v in populations.items():
+        _mark(failed, v < -_CLAMP_TOL,
+              lambda i: f"correlators give {name} = {float(v[i])}; not a density matrix")
+        populations[name] = np.where(0.0 > v, 0.0, v)
+    x = XStateBatch(**populations, b1=(c1 - c2) / 4.0, b2=(c1 + c2) / 4.0)
+    failed = _state_failures(x) | failed
+    for v in (x.a_plus, x.a_minus, x.a_zero, x.b1, x.b2):
+        v[list(failed)] = np.nan
+    return x, failed
 
 
 @dataclass(frozen=True)
@@ -140,7 +224,10 @@ def _entropy_bits(eigs: np.ndarray) -> float:
 
 
 def _xlog2(x: np.ndarray) -> np.ndarray:
-    return np.where(x > 0.0, x * np.log2(np.where(x > 0.0, x, 1.0)), 0.0)
+    # x log2 x where x > 0, else 0 (NaN too): two ufunc calls on the mask
+    positive = x > 0.0
+    out = np.log2(x, where=positive, out=np.zeros(np.shape(x)))
+    return np.multiply(x, out, where=positive, out=out)
 
 
 def _as_matrix(rho) -> np.ndarray:
@@ -157,24 +244,13 @@ def _as_matrix(rho) -> np.ndarray:
 
 
 def build_xstate(c: CorrelatorSet) -> XStateDensityMatrix:
-    """Assemble the X state whose correlators are `c`.
-
-    Populations that come out negative by no more than _CLAMP_TOL (quadrature
-    noise in the correlators) are clamped to zero; anything worse raises,
-    signalling an inconsistent correlator set.
-    """
-    raw = {
-        "a_plus": (1.0 + c.c3 + 2.0 * c.c4) / 4.0,
-        "a_minus": (1.0 + c.c3 - 2.0 * c.c4) / 4.0,
-        "a_zero": (1.0 - c.c3) / 4.0,
-    }
-    clamped = {}
-    for name, v in raw.items():
-        if v < -_CLAMP_TOL:
-            raise ValueError(f"correlators give {name} = {v}; not a density matrix")
-        clamped[name] = max(v, 0.0)
+    """Assemble the X state whose correlators are `c`: a batch of one of
+    `build_xstates`, raising ValueError on the rule it breaks."""
+    x, failed = build_xstates(*(np.array([v]) for v in (c.c1, c.c2, c.c3, c.c4)))
+    _raise_first(failed)
     return XStateDensityMatrix(
-        b1=complex((c.c1 - c.c2) / 4.0), b2=complex((c.c1 + c.c2) / 4.0), **clamped
+        float(x.a_plus[0]), float(x.a_minus[0]), float(x.a_zero[0]),
+        b1=complex(x.b1[0]), b2=complex(x.b2[0]),
     )
 
 
@@ -228,17 +304,20 @@ def _polar_entropies(z: np.ndarray, zz: np.ndarray, t: np.ndarray, c: np.ndarray
     t = 2(|b1| + |b2|).  Outcome +-1 occurs with p = (1 +- z c)/2 and leaves
     A with eigenvalues p/2 +- |(0, 0, z) +- T n|/4, where
     |(0, 0, z) +- T n|^2 = (z +- zz c)^2 + t^2 (1 - c^2) at the best phi.
-    The per-state parameters (z, zz, t) broadcast against the samples c.
+    The per-state parameters (z, zz, t) broadcast against the samples c;
+    both outcomes run in one pass along a leading axis of length 2, summed
+    as 0 + (outcome +1) + (outcome -1).
     """
+    sign = np.array([1.0, -1.0]).reshape(2, *[1] * max(np.ndim(z), np.ndim(c)))
     transverse = t * t * (1.0 - c * c)
-    total = 0.0
-    for sign in (1.0, -1.0):
-        p = 0.5 * (1.0 + sign * z * c)
-        half = 0.25 * np.sqrt((z + sign * zz * c) ** 2 + transverse)
-        # p * H(lam/p) = -sum xlog2(lam) + xlog2(p), avoiding division by
-        # p ~ 0; _xlog2 reads roundoff-negative arguments as 0
-        total = total + (-_xlog2(0.5 * p + half) - _xlog2(0.5 * p - half) + _xlog2(p))
-    return total
+    p = 0.5 * (1.0 + sign * z * c)
+    half = 0.25 * np.sqrt((z + sign * zz * c) ** 2 + transverse)
+    # p * H(lam/p) = -sum xlog2(lam) + xlog2(p), avoiding division by
+    # p ~ 0; _xlog2 reads roundoff-negative arguments as 0
+    mean = 0.5 * p
+    lam_hi, lam_lo, p = _xlog2(np.stack([mean + half, mean - half, p]))
+    terms = -lam_hi - lam_lo + p
+    return (0.0 + terms[0]) + terms[1]
 
 
 _COS_GRID = np.linspace(0.0, 1.0, 65)  # contains both endpoints exactly
@@ -309,21 +388,29 @@ def _best_phi(state: XStateDensityMatrix) -> float:
     return (cmath.phase(state.b2) - cmath.phase(state.b1)) / 2.0 % math.pi
 
 
-def _fields(states: list[XStateDensityMatrix]) -> dict[str, np.ndarray]:
+def _fields(states: list[XStateDensityMatrix] | XStateBatch) -> dict[str, np.ndarray]:
     """Every X state read once, as arrays: "a_plus", "a_minus", "a_zero", the
     moduli "b1", "b2", "eigs" (as `eigenvalues()`), the polarization "z", the
     best azimuth "phi", and "bad", the failure rule: an eigenvalue below
     -`_EIG_CLAMP` ("low") or |z| > 1 + 1e-12 ("over").  Dense matrices are
     rejected."""
-    for rho in states:
-        if not isinstance(rho, XStateDensityMatrix):
-            raise ValueError(f"X-state measures need an XStateDensityMatrix, got {type(rho).__name__}")
-    # |b|, the outer half-gap and phi from libm per state, as `eigenvalues()`
-    # has them: numpy's abs and hypot round differently in the last bit
-    a_plus, a_minus, a_zero, b1, b2, gap, phi = np.array([
-        (s.a_plus, s.a_minus, s.a_zero, abs(s.b1), abs(s.b2),
-         math.hypot(0.5 * (s.a_plus - s.a_minus), abs(s.b1)), _best_phi(s)) for s in states
-    ], dtype=float).reshape(-1, 7).T
+    if isinstance(states, XStateBatch):
+        a_plus, a_minus, a_zero = states.a_plus, states.a_minus, states.a_zero
+        b1, b2 = np.abs(states.b1), np.abs(states.b2)
+        gap = np.hypot(0.5 * (a_plus - a_minus), b1)
+        phi = (np.angle(states.b2) - np.angle(states.b1)) / 2.0 % np.pi
+    else:
+        for rho in states:
+            if not isinstance(rho, XStateDensityMatrix):
+                raise ValueError(
+                    f"X-state measures need an XStateDensityMatrix, got {type(rho).__name__}"
+                )
+        # |b|, the outer half-gap and phi from libm per state, as `eigenvalues()`
+        # has them: numpy's abs and hypot round differently in the last bit
+        a_plus, a_minus, a_zero, b1, b2, gap, phi = np.array([
+            (s.a_plus, s.a_minus, s.a_zero, abs(s.b1), abs(s.b2),
+             math.hypot(0.5 * (s.a_plus - s.a_minus), abs(s.b1)), _best_phi(s)) for s in states
+        ], dtype=float).reshape(-1, 7).T
     mean, z = 0.5 * (a_plus + a_minus), a_plus - a_minus
     eigs = np.stack([mean + gap, mean - gap, a_zero + b2, a_zero - b2], axis=1)
     low, over = np.any(eigs < -_EIG_CLAMP, axis=1), np.abs(z) > 1.0 + 1e-12
@@ -331,16 +418,21 @@ def _fields(states: list[XStateDensityMatrix]) -> dict[str, np.ndarray]:
             "eigs": eigs, "z": z, "phi": phi, "low": low, "over": over, "bad": low | over}
 
 
-def failure(rho: XStateDensityMatrix) -> str | None:
-    """Why the failure rule marks this state, naming each part that fired; None
-    when it does not mark it."""
-    f = _fields([rho])
-    why = [text for part, text in (
+def failures(states: list[XStateDensityMatrix] | XStateBatch) -> dict[int, str]:
+    """Why the failure rule marks each state it marks, by index, naming each
+    part that fired."""
+    f = _fields(states)
+    return {i: "; ".join(text for part, text in (
         ("low", f"the state has a negative eigenvalue (eigenvalue below -{_EIG_CLAMP}: "
-                f"{f['eigs'][0].min()})"),
-        ("over", f"the polarization |z| = {abs(f['z'][0])} of the state exceeds 1 + 1e-12"),
-    ) if f[part][0]]
-    return "; ".join(why) or None
+                f"{f['eigs'][i].min()})"),
+        ("over", f"the polarization |z| = {abs(f['z'][i])} of the state exceeds 1 + 1e-12"),
+    ) if f[part][i]) for i in np.flatnonzero(f["bad"]).tolist()}
+
+
+def failure(rho: XStateDensityMatrix) -> str | None:
+    """Why the failure rule marks this state (`failures` of a batch of one);
+    None when it does not mark it."""
+    return failures([rho]).get(0)
 
 
 def _one(rho: XStateDensityMatrix) -> dict[str, np.ndarray]:
@@ -396,13 +488,13 @@ def concurrence_xstate(state: XStateDensityMatrix) -> float:
     return float(_concurrence(_one(state))[0])
 
 
-def correlations(states: list[XStateDensityMatrix]) -> dict[str, np.ndarray]:
+def correlations(states: list[XStateDensityMatrix] | XStateBatch) -> dict[str, np.ndarray]:
     """Every measure of every X state, keyed by CSV column: "I", "C", "Q",
     "Cnc", and the maximizing basis "theta", "phi".
 
-    One read of each state (`_fields`), then one array pass per measure.  The
-    one place that clamps: C = min(C, I) and Q = max(I - C, 0), with Python's
-    tie rule per state.  A state the failure rule marks gets NaN in I, C and
+    One read of the list or batch (`_fields`), then one array pass per
+    measure.  The one place that clamps: C = min(C, I) and Q = max(I - C, 0),
+    with Python's tie rule per state.  A state the failure rule marks gets NaN in I, C and
     Q, and only there.  C above I by more than 1e-9 is an optimizer bug and
     raises RuntimeError."""
     f = _fields(states)

@@ -55,6 +55,14 @@ NEGATIVE_EIGENVALUE = XStateDensityMatrix(a_plus=0.3, a_minus=0.3, a_zero=0.2, b
 POLARIZATION_OVERSHOOT = XStateDensityMatrix(a_plus=1.0 + 5e-11, a_minus=0.0, a_zero=0.0)
 
 
+def put_state(batch, i: int, state: XStateDensityMatrix):
+    """Write one state with real coherences into row i of an `XStateBatch`,
+    in place: how a test injects a state into the rows of a sweep."""
+    for name in ("a_plus", "a_minus", "a_zero", "b1", "b2"):
+        getattr(batch, name)[i] = np.real(getattr(state, name))
+    return batch
+
+
 def random_x_state(rng: np.random.Generator) -> XStateDensityMatrix:
     """A positive X state with random populations, coherences, and phases."""
     w = rng.dirichlet(np.ones(4))

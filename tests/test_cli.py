@@ -52,9 +52,9 @@ class TestMeasures:
         calls = []
         real = kernels._grid_moments
 
-        def counted(kind, protocols, m, ns):
-            calls.append((m, [p.tau for p in protocols], tuple(ns)))
-            return real(kind, protocols, m, ns)
+        def counted(kind, tau, gamma, j3, grid, ns):
+            calls.append((grid.m, tau.tolist(), tuple(ns)))
+            return real(kind, tau, gamma, j3, grid, ns)
 
         monkeypatch.setattr(kernels, "_grid_moments", counted)
         code, _, _ = run_cli(
@@ -220,6 +220,14 @@ class TestFit:
         code, _, err = run_cli(capsys, "fit", "--input", str(csv), "--column", "nope")
         assert code == 2
         assert "nope" in err
+
+    @pytest.mark.parametrize("text", ["", "tau,Q\n"], ids=["empty", "header_only"])
+    def test_input_without_data_rows_exits_2(self, tmp_path, capsys, text):
+        csv = tmp_path / "sweep.csv"
+        csv.write_text(text)
+        code, out, err = run_cli(capsys, "fit", "--input", str(csv), "--column", "Q")
+        assert (code, out) == (2, "")
+        assert err == f"error: {csv} has no data rows\n"
 
 
 class TestDecohere:
@@ -420,18 +428,16 @@ class TestExitCodes:
     def test_numerical_failure_leaves_nan_row_and_exit_3(self, capsys, monkeypatch):
         import spinquench.scaling as scaling
 
-        calls = {"count": 0}
-        real = scaling.state_from_betas
+        real = scaling.states_from_moments
 
-        def flaky(betas, n):
-            calls["count"] += 1
-            if calls["count"] == 2:  # the tau = 2 row
-                raise RuntimeError("synthetic blowup")
-            return real(betas, n)
+        def flaky(moments, n):
+            states, errors = real(moments, n)
+            return states, errors | {1: "synthetic blowup"}  # the tau = 2 row
 
-        # state_from_betas is the per-row step of a sweep; rows are computed
-        # in this process whatever --workers says, so the monkeypatch reaches it
-        monkeypatch.setattr(scaling, "state_from_betas", flaky)
+        # states_from_moments builds and checks every row of a sweep; rows are
+        # computed in this process whatever --workers says, so the monkeypatch
+        # reaches it
+        monkeypatch.setattr(scaling, "states_from_moments", flaky)
         code, out, err = run_cli(
             capsys,
             "sweep", "--protocol", "ising", "--gamma", "1", "--n", "2",
@@ -451,10 +457,15 @@ class TestExitCodes:
         # measures runs the sweeps' rows: a state with a negative eigenvalue
         # fails its row as in a sweep, it is no configuration error
         import spinquench.scaling as scaling
+        from conftest import put_state
         from spinquench.xstate import XStateDensityMatrix
 
         bad = XStateDensityMatrix(a_plus=0.3, a_minus=0.3, a_zero=0.2, b2=0.2 + 5e-10)
-        monkeypatch.setattr(scaling, "state_from_betas", lambda betas, n: bad)
+        real = scaling.states_from_moments
+        monkeypatch.setattr(
+            scaling, "states_from_moments",
+            lambda moments, n: (put_state(real(moments, n)[0], 0, bad), {}),
+        )
         code, out, err = run_cli(
             capsys, "measures", "--protocol", "ising", "--gamma", "1", "--tau", "5", "--n", "2"
         )

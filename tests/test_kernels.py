@@ -5,6 +5,7 @@ rows far on the adiabatic side, the large-argument Bessel series; scipy's
 `ive` is used here only as an oracle for both.
 """
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -360,6 +361,33 @@ class TestMomentTable:
             assert table.errors[i].tobytes() == alone.errors[0].tobytes(), i
             assert table.nodes[i] == alone.nodes[0], i
 
+    @pytest.mark.parametrize("proto, taus", [
+        (QuenchProtocol.multicritical(1.0), np.geomspace(1.0, 1e5, 29)),
+        (QuenchProtocol.three_spin(0.8, 1.0), np.geomspace(0.5, 1e4, 25)),
+        (QuenchProtocol.ising(1.0, 1.0), np.geomspace(0.1, 1e4, 48)),
+    ], ids=["multicritical", "three_spin", "ising"])
+    def test_tau_sweep_rows_equal_batches_of_one(self, proto, taus):
+        # one node table per grid, shared by the fine and coarse passes of
+        # neighbouring grid sizes: each row keeps the bits of its own batch
+        ns = (0, 2, 4, 6)
+        table = moment_table([proto], ns, taus=taus)
+        listed = moment_table([dataclasses.replace(proto, tau=t) for t in taus], ns)
+        if proto.kind is ProtocolKind.MULTICRITICAL:
+            assert {m for m in table.nodes if m} == {2**k for k in range(9, 15)}
+        for i, tau in enumerate(taus):
+            alone = moment_table([dataclasses.replace(proto, tau=tau)], ns)
+            for got in (table, listed):
+                assert got.values[i].tobytes() == alone.values[0].tobytes(), tau
+                assert got.errors[i].tobytes() == alone.errors[0].tobytes(), tau
+                assert got.nodes[i] == alone.nodes[0], tau
+            assert table.protocol(i) == alone.protocols[0]
+
+    def test_tau_sweep_checks_each_tau(self):
+        with pytest.raises(ValueError, match="tau must be finite and >= 0, got inf"):
+            moment_table([QuenchProtocol.multicritical(1.0)], (0,), taus=[1.0, math.inf])
+        with pytest.raises(ValueError, match="one protocol"):
+            moment_table([QuenchProtocol.multicritical(1.0)] * 2, (0,), taus=[1.0])
+
     def test_only_the_row_past_the_cap_raises(self):
         protos = mixed_protocols()
         table = moment_table(protos, (0, 2, 4, 6))
@@ -393,9 +421,9 @@ class TestMomentTable:
         calls = []
         real = kernels._grid_moments
 
-        def counted(kind, protocols, m, ns):
-            calls.append((len(protocols), m))
-            return real(kind, protocols, m, ns)
+        def counted(kind, tau, gamma, j3, grid, ns):
+            calls.append((len(tau), grid.m))
+            return real(kind, tau, gamma, j3, grid, ns)
 
         monkeypatch.setattr(kernels, "_grid_moments", counted)
         taus = np.linspace(4e7, 5e7, 10)  # M = 2^19: 8 rows per pass

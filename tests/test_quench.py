@@ -17,14 +17,16 @@ import math
 import numpy as np
 import pytest
 
-from spinquench.kernels import QuenchProtocol, compute_betas
+from spinquench.kernels import MomentTable, QuenchProtocol, compute_betas
 from spinquench.quench import (
     closed_form_C_n2,
     closed_form_I_n2,
     correlators,
     measures,
+    states_from_moments,
 )
 from spinquench.xstate import (
+    CorrelatorSet,
     build_xstate,
     conditional_entropy,
     mutual_information,
@@ -96,6 +98,41 @@ class TestCorrelators:
             ratios.append(correlators(proto, n).c1 / np.linalg.det(toeplitz))
         assert ratios[1] == pytest.approx(ratios[0], rel=1e-9)
         assert ratios[2] == pytest.approx(ratios[0], rel=1e-9)
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_batch_states_equal_the_per_row_python_formulas(self, n):
+        # the batch forms its powers with libm's pow, as Python's ** does:
+        # every row's state has the bits of the per-row formulas written
+        # with Python floats, where numpy's array ** would move the last bit
+        rng = np.random.default_rng(n)
+        b0 = rng.uniform(0.0, 1.0, 400)
+        cols = [b0] + [b0 * rng.uniform(-1.0, 1.0, 400) for _ in (2, 4, 6)]
+        table = MomentTable((QuenchProtocol.ising(1.0, 1.0),) * 400, (0, 2, 4, 6),
+                            np.column_stack(cols), np.zeros((400, 4)), (512,) * 400)
+        batch, failed = states_from_moments(table, n)
+        checked = 0
+        for i, row in enumerate(np.column_stack(cols).tolist()):
+            b = dict(zip((0, 2, 4, 6), row))
+            m = 1.0 - 2.0 * b[0]
+            c3 = m * m - 4.0 * b[n] ** 2
+            if n == 2:
+                c1 = 0.5 * b[2] * m
+            elif n == 4:
+                c1 = (m * m * b[2] * b[2] - 4.0 * b[2] ** 4 + 0.5 * b[4] * m**3
+                      - 2.0 * b[2] * b[2] * b[4] * m)
+            else:
+                c1 = (-0.5 * (2.0 * b[4] + m) * (8.0 * b[2] * b[2] + 2.0 * b[4] * m - m * m)
+                      * (4.0 * b[2] ** 3 - 4.0 * b[2] * b[2] * b[6] + 4.0 * b[2] * b[4] * b[4]
+                         + 4.0 * b[2] * b[4] * m + b[6] * m * m))
+            try:
+                want = build_xstate(CorrelatorSet(c1, c1, c3, m))
+            except ValueError as exc:
+                assert failed[i] == str(exc)
+                continue
+            got = [batch.a_plus[i], batch.a_minus[i], batch.a_zero[i], batch.b2[i]]
+            assert got == [want.a_plus, want.a_minus, want.a_zero, want.b2.real], i
+            checked += 1
+        assert checked > 100
 
     def test_separation_validated(self):
         with pytest.raises(ValueError):

@@ -1,11 +1,13 @@
 """Sweep tables, power-law fits, and peak detection."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import NEGATIVE_EIGENVALUE, POLARIZATION_OVERSHOOT
+from conftest import NEGATIVE_EIGENVALUE, POLARIZATION_OVERSHOOT, put_state
 import spinquench.kernels as kernels
 import spinquench.scaling as scaling
 from spinquench.kernels import QuenchProtocol
@@ -90,17 +92,15 @@ class TestSweepTau:
         assert np.all(np.isfinite(t.data))
 
     def test_failed_rows_marked_and_sweep_continues(self, monkeypatch):
-        calls = {"count": 0}
-        real = scaling.state_from_betas
+        real = scaling.states_from_moments
 
-        def flaky(betas, n):
-            calls["count"] += 1
-            if calls["count"] == 2:
-                raise RuntimeError("synthetic row failure")
-            return real(betas, n)
+        def flaky(moments, n):
+            states, errors = real(moments, n)
+            return states, errors | {1: "synthetic row failure"}
 
-        # state_from_betas is the per-row step of a sweep
-        monkeypatch.setattr(scaling, "state_from_betas", flaky)
+        # states_from_moments builds and checks every row of a sweep: a row
+        # it fails is measured by none of the later steps
+        monkeypatch.setattr(scaling, "states_from_moments", flaky)
         t = sweep_tau(QuenchProtocol.ising(1.0, 1.0), 2, [0.5, 1.0, 2.0])
         assert len(t.errors) == 1
         assert t.errors[0][0] == 1
@@ -109,30 +109,23 @@ class TestSweepTau:
         assert np.isfinite(t.column("Q")[[0, 2]]).all()
 
     def test_programming_error_is_no_failed_row(self, monkeypatch):
-        # a row fails on a ValueError or RuntimeError of its moments or state;
-        # a wrong call is a fault of the program and propagates
-        calls = {"count": 0}
-        real = scaling.state_from_betas
-
-        def miscalled(betas, n):
-            calls["count"] += 1
-            return real(betas) if calls["count"] == 2 else real(betas, n)
-
-        monkeypatch.setattr(scaling, "state_from_betas", miscalled)
+        # a row fails on the rules its moments and state are checked by; a
+        # wrong call is a fault of the program and propagates
+        real = scaling.states_from_moments
+        monkeypatch.setattr(scaling, "states_from_moments", lambda moments, n: real(moments))
         with pytest.raises(TypeError, match="missing 1 required positional argument: 'n'"):
             sweep_tau(QuenchProtocol.ising(1.0, 1.0), 2, [0.5, 1.0, 2.0])
 
     def test_polarization_overshoot_is_named_as_the_cause(self, monkeypatch):
         # |z| > 1 + 1e-12 with eigenvalues 1 + 5e-11, 0, 0, 0: the row's error
         # and measure_state's ValueError name the polarization, not an eigenvalue
-        calls = {"count": 0}
-        real = scaling.state_from_betas
+        real = scaling.states_from_moments
 
-        def bad_second_row(betas, n):
-            calls["count"] += 1
-            return POLARIZATION_OVERSHOOT if calls["count"] == 2 else real(betas, n)
+        def bad_second_row(moments, n):
+            states, errors = real(moments, n)
+            return put_state(states, 1, POLARIZATION_OVERSHOOT), errors
 
-        monkeypatch.setattr(scaling, "state_from_betas", bad_second_row)
+        monkeypatch.setattr(scaling, "states_from_moments", bad_second_row)
         t = sweep_tau(QuenchProtocol.ising(1.0, 1.0), 2, [0.5, 1.0, 2.0])
         assert [i for i, _ in t.errors] == [1]
         assert "polarization" in t.errors[0][1] and "eigenvalue" not in t.errors[0][1]
@@ -143,14 +136,13 @@ class TestSweepTau:
     def test_negative_eigenvalue_fails_only_its_own_row(self, monkeypatch):
         # the batched measures give NaN for that state alone, and its row
         # is listed as failed
-        calls = {"count": 0}
-        real = scaling.state_from_betas
+        real = scaling.states_from_moments
 
-        def bad_second_row(betas, n):
-            calls["count"] += 1
-            return NEGATIVE_EIGENVALUE if calls["count"] == 2 else real(betas, n)
+        def bad_second_row(moments, n):
+            states, errors = real(moments, n)
+            return put_state(states, 1, NEGATIVE_EIGENVALUE), errors
 
-        monkeypatch.setattr(scaling, "state_from_betas", bad_second_row)
+        monkeypatch.setattr(scaling, "states_from_moments", bad_second_row)
         grid = [0.5, 1.0, 2.0]
         t = sweep_tau(QuenchProtocol.ising(1.0, 1.0), 2, grid)
         assert [i for i, _ in t.errors] == [1]
@@ -179,9 +171,9 @@ class TestSweepTau:
         calls = []
         real = kernels._grid_moments
 
-        def counted(kind, protocols, m, ns):
-            calls.append((m, [p.tau for p in protocols], tuple(ns)))
-            return real(kind, protocols, m, ns)
+        def counted(kind, tau, gamma, j3, grid, ns):
+            calls.append((grid.m, tau.tolist(), tuple(ns)))
+            return real(kind, tau, gamma, j3, grid, ns)
 
         monkeypatch.setattr(kernels, "_grid_moments", counted)
         t = sweep_tau(QuenchProtocol.ising(1.0, 1.0), 4, [0.5, 1.0, 2.0])
@@ -202,6 +194,44 @@ class TestSweepTau:
         halves = np.vstack([sweep_tau(proto, 2, grid[:3]).data, sweep_tau(proto, 2, grid[3:]).data])
         assert whole.data.tobytes() == halves.tobytes()
         assert whole.data.tobytes() == sweep_tau(proto, 2, grid).data.tobytes()
+
+
+ISING_1 = QuenchProtocol.ising(1.0, 1.0)
+QUAD = f"midpoint nodes (cap {kernels._M_CAP}, tolerance {kernels._TOL})"
+
+
+@pytest.mark.parametrize("n, row, error, nodes, message", [
+    (2, (0.3, 0.1), (0.0, 2e-12), 512,
+     f"beta_2 for {ISING_1} needs 512 {QUAD} (estimate=0.1, error_bound=2e-12)"),
+    (2, (0.3, 0.1), (0.0, 0.0), 2 * kernels._M_CAP,
+     f"beta_0 for {ISING_1} needs {2 * kernels._M_CAP} {QUAD} (estimate=0.3, error_bound=0.0)"),
+    (2, (1.5, 0.1), (0.0, 0.0), 512, "beta_0 = 1.5 outside [0, 1]"),
+    (2, (0.1, 0.2), (0.0, 0.0), 512, "|beta_2| = 0.2 exceeds beta_0 = 0.1"),
+    (4, (1.0, 1.0, 1.0), (0.0, 0.0, 0.0), 512, "c1 = -1.5 outside [-1, 1]"),
+    # a row that breaks two rules fails on the first: tolerance before range
+    (2, (1.5, 0.1), (0.0, 2e-12), 512,
+     f"beta_2 for {ISING_1} needs 512 {QUAD} (estimate=0.1, error_bound=2e-12)"),
+], ids=["tolerance", "node_cap", "beta0_range", "beta_n_above_beta0", "correlator_range",
+        "first_rule_wins"])
+def test_row_check_fails_its_row_alone(monkeypatch, n, row, error, nodes, message):
+    # the middle row's moments are set to break one rule: it fails with that
+    # rule's message, and the other rows keep the bits of the clean sweep
+    grid = [0.5, 1.0, 2.0]
+    clean = sweep_tau(ISING_1, n, grid)
+    real = scaling.moment_table
+
+    def doctored(protocols, ns, taus=None):
+        table = real(protocols, ns, taus)
+        values, errors = table.values.copy(), table.errors.copy()
+        values[1], errors[1] = row, error
+        return dataclasses.replace(table, values=values, errors=errors,
+                                   nodes=(table.nodes[0], nodes, table.nodes[2]))
+
+    monkeypatch.setattr(scaling, "moment_table", doctored)
+    t = sweep_tau(ISING_1, n, grid)
+    assert t.errors == ((1, message),)
+    assert t.data[1, 0] == 1.0 and t.data[1, 1] == n and np.isnan(t.data[1, 2:]).all()
+    assert t.data[[0, 2]].tobytes() == clean.data[[0, 2]].tobytes()
 
 
 @pytest.mark.parametrize(

@@ -170,13 +170,15 @@ def test_scripts_run(tmp_path, record):
 
 
 def test_edge_calls_reproduce_the_record(record):
-    # the measures rows at the moment kernel's edges and at tau = 0, and the
-    # two-weight decohere-revival trace: every call exits 0
+    # the measures rows at the moment kernel's edges and at tau = 0, the
+    # n = 4 and 6 sweeps off the Ising protocol, and the two-weight
+    # decohere-revival trace: every call exits 0
     # (record.edge_outputs raises otherwise) and prints the recorded bytes
     assert_recorded_versions(record)
     outputs = record.edge_outputs()
-    assert sorted(outputs) == ["decohere_revival.csv", "measures_edges.csv"]
+    assert sorted(outputs) == ["decohere_revival.csv", "measures_edges.csv", "sweeps_edges.csv"]
     assert len(outputs["measures_edges.csv"].splitlines()) == 1 + 27
+    assert len(outputs["sweeps_edges.csv"].splitlines()) == 1 + 4 * 25
     for name, text in outputs.items():
         assert text.encode() == (record.RECORD / name).read_bytes(), name
 

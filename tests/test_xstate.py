@@ -23,14 +23,16 @@ from conftest import (
     von_neumann_entropy,
 )
 from spinquench import xstate
-from spinquench.kernels import QuenchProtocol
-from spinquench.quench import correlators, measure_state
+from spinquench.kernels import QuenchProtocol, moment_table
+from spinquench.quench import correlators, measure_state, states_from_moments
 from spinquench.xstate import (
     CorrelationReport,
     CorrelatorSet,
     MeasurementBasis,
+    XStateBatch,
     XStateDensityMatrix,
     build_xstate,
+    build_xstates,
     classical_correlation,
     concurrence_wootters,
     concurrence_xstate,
@@ -409,6 +411,120 @@ class TestBatchInvariance:
     def test_empty_batch(self):
         got = correlations([])
         assert all(got[key].shape == (0,) for key in KEYS)
+
+    def test_polar_entropies_equal_the_two_pass_form(self):
+        # both outcomes in one pass sum as 0 + (+1) + (-1), as two passes do,
+        # and the masked x log2 x equals the np.where form: bit for bit on
+        # random states, pure polarizations z = +-1, t = 0, and eigenvalue
+        # arguments that round below 0
+        def xlog2(x):
+            return np.where(x > 0.0, x * np.log2(np.where(x > 0.0, x, 1.0)), 0.0)
+
+        def two_pass(z, zz, t, c):
+            transverse = t * t * (1.0 - c * c)
+            total, low = 0.0, []
+            for sign in (1.0, -1.0):
+                p = 0.5 * (1.0 + sign * z * c)
+                half = 0.25 * np.sqrt((z + sign * zz * c) ** 2 + transverse)
+                total = total + (-xlog2(0.5 * p + half) - xlog2(0.5 * p - half) + xlog2(p))
+                low.append(0.5 * p - half)
+            return total, min(np.min(v) for v in low)
+
+        rng = np.random.default_rng(23)
+        states = mixed_batch() + [random_x_state(rng) for _ in range(500)]
+        # pure states cos a |uu> + sin a |dd>: their conditional states are
+        # pure, and the smaller eigenvalue rounds to either side of 0
+        a = rng.uniform(0.0, np.pi / 2.0, 100)
+        z = np.concatenate([[s.a_plus - s.a_minus for s in states], np.cos(2.0 * a),
+                            [1.0, -1.0, 0.3]])
+        zz = np.concatenate([[s.a_plus + s.a_minus - 2.0 * s.a_zero for s in states],
+                             np.ones(100), [1.0, 1.0, 0.1]])
+        t = np.concatenate([[2.0 * (abs(s.b1) + abs(s.b2)) for s in states], np.sin(2.0 * a),
+                            [0.0, 0.0, 0.0]])
+        z, zz, t = z[:, None], zz[:, None], t[:, None]
+        zoom = rng.uniform(0.0, 1.0, (len(z), 1)) + np.linspace(0.0, 1e-3, 17)
+        for c in (xstate._COS_GRID, np.clip(zoom, 0.0, 1.0)):
+            want, lowest = two_pass(z, zz, t, c)
+            assert lowest < 0.0  # an argument _xlog2 must read as 0
+            assert xstate._polar_entropies(z, zz, t, c).tobytes() == want.tobytes()
+
+    def test_quench_batch_reads_as_its_list_of_states(self):
+        # b1 = 0 and a real b2: the batch's numpy read equals the libm read
+        # of the same states one by one, bit for bit
+        protos = [QuenchProtocol.ising(1.0, t) for t in (0.0, 0.3, 5.0, 400.0, 1e8)]
+        protos += [QuenchProtocol.multicritical(t) for t in (0.7, 300.0, 1e5)]
+        protos += [QuenchProtocol.three_spin(j3, 50.0) for j3 in (0.5, 0.8, 1.5)]
+        table = moment_table(protos, (0, 2, 4, 6))
+        for n in (2, 4, 6):
+            batch, failed = states_from_moments(table, n)
+            assert failed == {}
+            listed = [
+                XStateDensityMatrix(*(float(getattr(batch, k)[i]) for k in
+                                      ("a_plus", "a_minus", "a_zero")),
+                                    b1=complex(batch.b1[i]), b2=complex(batch.b2[i]))
+                for i in range(len(protos))
+            ]
+            got, want = correlations(batch), correlations(listed)
+            assert same_bits([got[key] for key in KEYS], [want[key] for key in KEYS]), n
+
+
+class TestBuildXStates:
+    """The batch applies the one-state rules as masks, in their order: a row
+    that breaks one fails alone with the one-state message, and the other
+    rows keep their bits."""
+
+    @staticmethod
+    def build_with(row):
+        # rows 0 and 2 are valid quench-like correlators, row 1 is given
+        cs = np.array([(0.1, 0.1, 0.2, 0.3), row, (-0.05, -0.05, 0.5, -0.2)]).T
+        return build_xstates(*cs)
+
+    @pytest.mark.parametrize("row, message", [
+        ((1.5, 1.5, 0.0, 0.0), "c1 = 1.5 outside [-1, 1]"),
+        ((0.0, 0.0, -1.0, 3.9e-10),
+         f"correlators give a_minus = {(1.0 + -1.0 - 2.0 * 3.9e-10) / 4.0}; not a density matrix"),
+        ((0.0, 0.0, -1.0 - 3.6e-10, 0.0),
+         f"trace = {0.0 + 0.0 + 2.0 * ((1.0 + 1.0 + 3.6e-10) / 4.0)}, expected 1"),
+        ((0.5, -0.5, -0.9, 0.0), "positivity violated: |b1| > sqrt(a_plus a_minus)"),
+        ((0.5, 0.5, 0.9, 0.0), "positivity violated: |b2| > a_zero"),
+    ], ids=["correlator_range", "clamp", "trace", "b1_positivity", "b2_positivity"])
+    def test_row_breaking_a_rule_fails_alone(self, row, message):
+        x, failed = self.build_with(row)
+        assert failed == {1: message}
+        with pytest.raises(ValueError) as exc:
+            build_xstate(CorrelatorSet(*row))
+        assert str(exc.value) == message
+        clean, _ = self.build_with((0.0, 0.0, 0.0, 0.0))
+        for name in ("a_plus", "a_minus", "a_zero", "b1", "b2"):
+            got, want = getattr(x, name), getattr(clean, name)
+            assert np.isnan(got[1]), name
+            assert got[[0, 2]].tobytes() == want[[0, 2]].tobytes(), name
+
+    def test_first_broken_rule_names_the_row(self):
+        # c1 out of range and a population below the clamp: the range check
+        # comes first, as in CorrelatorSet before build_xstate
+        _, failed = self.build_with((1.5, 1.5, -1.0, 3.9e-10))
+        assert failed == {1: "c1 = 1.5 outside [-1, 1]"}
+
+    def test_state_masks_give_the_constructors_verdicts(self):
+        # _state_failures is XStateDensityMatrix's checks as masks: the same
+        # state fails with the same message, or passes, either way
+        rng = np.random.default_rng(5)
+        rows = [(0.3, 0.3, 0.2, 0.0, 0.2 + 2e-9), (0.5, 0.5, 0.0, 0.0, 0.0),
+                (0.5, 0.3, -1e-11, 0.0, 0.0), (0.6, 0.4, -2e-12, 0.0, 0.0),
+                (0.25, 0.25, 0.25, 0.3, 0.0), (1.0 + 5e-11, 0.0, 0.0, 0.0, 0.0)]
+        for _ in range(200):
+            w = rng.dirichlet(np.ones(3))
+            rows.append((w[0], w[1], w[2] / 2.0, rng.uniform(-0.6, 0.6), rng.uniform(-0.3, 0.3)))
+        got = xstate._state_failures(XStateBatch(*np.array(rows).T))
+        for i, row in enumerate(rows):
+            try:
+                XStateDensityMatrix(*row)
+                want = None
+            except ValueError as exc:
+                want = str(exc)
+            assert got.get(i) == want, row
+        assert 0 < len(got) < len(rows)
 
 
 def mutual_information_per_state(state) -> float:
