@@ -9,11 +9,10 @@ cosine moment of that probability over the Brillouin zone,
 
 beta_0 is the defect density.  `moment_table` computes the moments of a
 batch of protocols (the rows of a sweep, or one protocol at every tau of a
-grid) together, on one table of nodes per midpoint grid.
-`MomentTable.failures` applies the row rules to the whole table as masks:
-the kernel's tolerance and node cap, then 0 <= beta_0 <= 1, then
-|beta_n| <= beta_0.  `MomentTable.betas` hands one row on as a dict keyed by
-n; `beta_n` and `compute_betas` are batches of one.
+grid) together.  `MomentTable.failures` applies the row rules to the whole
+table as masks: the kernel's tolerance and node cap, then 0 <= beta_0 <= 1,
+then |beta_n| <= beta_0.  `MomentTable.betas` hands one row on as a dict
+keyed by n; `beta_n` and `compute_betas` are batches of one.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ import dataclasses
 import enum
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -96,6 +95,15 @@ class QuenchProtocol:
         return cls(ProtocolKind.THREE_SPIN, tau, j3=j3)
 
 
+def _exponent(kind: ProtocolKind, gamma, j3, k):
+    # f(k) in p_k = exp(-pi tau f(k)); gamma and j3 broadcast against k
+    if kind is ProtocolKind.ISING:
+        return gamma**2 * np.sin(k) ** 2
+    if kind is ProtocolKind.MULTICRITICAL:
+        return (1.0 + np.cos(k)) ** 2 * np.sin(k) ** 2
+    return (np.sin(k) - j3 * np.sin(2.0 * k)) ** 2
+
+
 # p_k cos(n k) is smooth, even and 2 pi-periodic in k for every protocol, so
 # the M-point midpoint rule on [0, pi] converges exponentially and
 # |beta(M) - beta(M/2)| estimates its error.  The narrowest feature is the
@@ -139,60 +147,22 @@ def _nodes(protocol: QuenchProtocol, tau: float, n_max: int) -> int:
     return max(_M_FLOOR, 2 ** math.ceil(math.log2(need)))
 
 
-class _Grid(NamedTuple):
-    """The k-dependent factors of one m-point midpoint grid, computed once per grid:
-    each kind's factor of the exponent f(k) in p_k = exp(-pi tau f(k)), and
-    cos(n k) for every n > 0 of the moments."""
-
-    m: int
-    factors: dict
-    cosines: dict
-
-
-def _grid(m: int, kinds: set, ns: Sequence[int]) -> _Grid:
-    # k goes as soon as its last function is taken, and the multicritical
-    # factor is formed in place: at the node cap, where one array is 32 MB,
-    # the table's build peaks no higher than a pass on it
-    k = (np.arange(m) + 0.5) * (np.pi / m)
-    cosines = {n: np.cos(n * k) for n in ns if n}
-    sin, factors = np.sin(k), {}
-    if ProtocolKind.THREE_SPIN in kinds:  # f = (sin k - j3 sin 2k)^2
-        factors[ProtocolKind.THREE_SPIN] = (sin, np.sin(2.0 * k))
-    if ProtocolKind.MULTICRITICAL in kinds:  # f = (1 + cos k)^2 sin^2 k
-        f = np.cos(k)
-        del k
-        f += 1.0
-        f **= 2
-        f *= sin**2
-        factors[ProtocolKind.MULTICRITICAL] = f
-    if ProtocolKind.ISING in kinds:  # f = gamma^2 sin^2 k
-        factors[ProtocolKind.ISING] = sin**2
-    return _Grid(m, factors, cosines)
-
-
 def _grid_moments(
-    kind: ProtocolKind, tau: np.ndarray, gamma: np.ndarray, j3: np.ndarray, grid: _Grid,
+    kind: ProtocolKind, tau: np.ndarray, gamma: np.ndarray, j3: np.ndarray, m: int,
     ns: Sequence[int],
 ) -> np.ndarray:
-    """Midpoint rule on the grid: moments (rows, len(ns)) of rows of one kind,
+    """Midpoint rule on m nodes: moments (rows, len(ns)) of rows of one kind,
     given by their tau, gamma and j3 (NaN where the kind has none).
 
     One (rows, m) array of p_k serves every n; n = 0 takes p_k itself.
     """
-    tau, gamma, j3 = tau[:, None], gamma[:, None], j3[:, None]
-    factor = grid.factors[kind]
-    if kind is ProtocolKind.ISING:
-        f = gamma**2 * factor
-    elif kind is ProtocolKind.MULTICRITICAL:
-        f = factor
-    else:
-        f = (factor[0] - j3 * factor[1]) ** 2
-    p = -np.pi * tau * f
+    k = (np.arange(m) + 0.5) * (np.pi / m)
+    p = -np.pi * tau[:, None] * _exponent(kind, gamma[:, None], j3[:, None], k)
     np.exp(p, out=p)
     out = np.empty((len(tau), len(ns)))
     for j, n in enumerate(ns):
         # np.mean's own arithmetic, without its per-call overhead
-        out[:, j] = np.add.reduce(p * grid.cosines[n] if n else p, axis=1) / grid.m
+        out[:, j] = np.add.reduce(p * np.cos(n * k) if n else p, axis=1) / m
     return out
 
 
@@ -217,8 +187,9 @@ class MomentTable:
     midpoint rule (at least the spike's mass past the node cap), the series'
     bound, 0 where exact.  `nodes` is a row's midpoint-rule M, which exceeds
     `_M_CAP` for a row the cap could not serve; it is 0 for the sudden limit
-    and for series rows.  `taus`, when given, are the rows' inverse rates in
-    place of their protocols' own tau (a tau sweep of `moment_table`).
+    and for series rows.  `taus` holds each row's inverse rate, the one
+    place a row's tau is read: the protocols' own tau is not (a tau sweep
+    repeats its one protocol on every row).
     """
 
     protocols: tuple[QuenchProtocol, ...]
@@ -226,12 +197,11 @@ class MomentTable:
     values: np.ndarray
     errors: np.ndarray
     nodes: tuple[int, ...]
-    taus: tuple[float, ...] | None = None
+    taus: tuple[float, ...]
 
     def protocol(self, i: int) -> QuenchProtocol:
         """Row i's protocol at the row's own tau."""
-        p = self.protocols[i]
-        return p if self.taus is None else dataclasses.replace(p, tau=self.taus[i])
+        return dataclasses.replace(self.protocols[i], tau=self.taus[i])
 
     def failures(self) -> dict[int, Exception]:
         """Each failed row's error, by the first rule it breaks in this order:
@@ -293,24 +263,21 @@ def moment_table(
     its bound meets `_TOL` for every n; every other row takes the midpoint
     rule.  Midpoint rows are grouped by protocol kind and M, in chunks of at
     most `_M_CAP` grid points, and each chunk's moments come from one
-    (rows, M) and one (rows, M/2) array of p_k.  The passes run grid by grid,
-    finest first, each grid on one `_Grid` table of nodes: grid M serves the
-    fine passes of the rows on M and the coarse passes of the rows on 2M, and
-    only one grid's table is live at a time.  Ising odd moments are exactly
+    (rows, M) and one (rows, M/2) array of p_k.  Ising odd moments are exactly
     0 (k -> pi - k symmetry); the other protocols' are computed.  Each row's
     values are the ones it gets in a batch of its own; a row that failed
     raises only from `MomentTable.row` and `MomentTable.betas`.
     """
     protocols = tuple(protocols)
     if taus is None:
-        tau = [p.tau for p in protocols]
+        taus = tuple(p.tau for p in protocols)
     else:
         if len(protocols) != 1:
             raise ValueError(f"a tau sweep takes one protocol, got {len(protocols)}")
-        tau = [float(t) for t in taus]
-        for t in tau:
+        taus = tuple(float(t) for t in taus)
+        for t in taus:
             _check_tau(t)
-        protocols, taus = protocols * len(tau), tuple(tau)
+        protocols *= len(taus)
     ns = tuple(ns)
     for n in ns:
         if n < 0 or int(n) != n:
@@ -323,7 +290,7 @@ def moment_table(
     nodes = [0] * len(protocols)
 
     ising = [i for i, p in enumerate(protocols) if p.kind is ProtocolKind.ISING]
-    x = {i: 0.5 * math.pi * tau[i] * protocols[i].gamma**2 for i in ising}
+    x = {i: 0.5 * math.pi * taus[i] * protocols[i].gamma**2 for i in ising}
     far = [i for i in ising if x[i] >= _X_SERIES]
     on_series = set()
     if far:
@@ -337,33 +304,25 @@ def moment_table(
     groups: dict[tuple[ProtocolKind, int], list[int]] = {}
     n_max = max(ns, default=0)
     for i, p in enumerate(protocols):
-        if tau[i] == 0.0:
+        if taus[i] == 0.0:
             values[i] = n_arr == 0  # sudden limit: p_k == 1
         elif i not in on_series:
-            nodes[i] = _nodes(p, tau[i], n_max)
+            nodes[i] = _nodes(p, taus[i], n_max)
             groups.setdefault((p.kind, min(nodes[i], _M_CAP)), []).append(i)
-    passes: dict[int, list[tuple[ProtocolKind, list[int], bool]]] = {}
+    params = [np.array(a, dtype=float) for a in (
+        taus, [p.gamma for p in protocols], [p.j3 for p in protocols])]
     for (kind, m), rows in groups.items():
         per_pass = max(1, _M_CAP // m)
         for start in range(0, len(rows), per_pass):
             chunk = rows[start : start + per_pass]
-            passes.setdefault(m, []).append((kind, chunk, True))
-            passes.setdefault(m // 2, []).append((kind, chunk, False))
-    params = [np.array(a, dtype=float) for a in (
-        tau, [p.gamma for p in protocols], [p.j3 for p in protocols])]
-    for m in sorted(passes, reverse=True):
-        grid = _grid(m, {kind for kind, _, _ in passes[m]}, ns)
-        for kind, chunk, fine in passes[m]:
-            moments = _grid_moments(kind, *(a[chunk] for a in params), grid, ns)
-            if fine:
-                values[chunk] = moments
-            else:
-                errors[chunk] = np.abs(values[chunk] - moments)
-        del grid  # before the next grid's table is built
+            batch = [a[chunk] for a in params]
+            fine = _grid_moments(kind, *batch, m, ns)
+            values[chunk] = fine
+            errors[chunk] = np.abs(fine - _grid_moments(kind, *batch, m // 2, ns))
     for i in [i for i, m in enumerate(nodes) if m > _M_CAP]:
         # the capped grid may miss the whole spike, of mass 1/(2 pi s sqrt(tau))
         errors[i] = np.maximum(
-            errors[i], 1.0 / (2.0 * math.pi * _slope(protocols[i]) * math.sqrt(tau[i]))
+            errors[i], 1.0 / (2.0 * math.pi * _slope(protocols[i]) * math.sqrt(taus[i]))
         )
     values[np.ix_(ising, odd)] = 0.0
     errors[np.ix_(ising, odd)] = 0.0

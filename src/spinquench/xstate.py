@@ -5,11 +5,12 @@ diagonal and anti-diagonal (basis |A> tensor |B>, ordering uu, ud, du, dd); a
 batch of states is an `XStateBatch`, the same five entries as arrays.
 `build_xstates` makes a batch from correlator arrays and applies the rules of
 `CorrelatorSet`, `build_xstate` and `XStateDensityMatrix` to it as masks, so
-that a state that breaks one fails alone; `CorrelatorSet` and `build_xstate`
-are its batches of one.  Every measure takes X states only.  Two dense
-helpers, `conditional_entropy` and `concurrence_wootters`, also take a 4x4
-matrix: the benchmark reads them, and the tests use them as oracles.  All
-entropies are in bits with the 0 log 0 = 0 convention.
+that a state that breaks one fails alone; `CorrelatorSet`, `build_xstate`
+and `XStateDensityMatrix` check their batches of one.  Every measure takes X
+states only.  Two dense helpers, `conditional_entropy` and
+`concurrence_wootters`, also take a 4x4 matrix: the benchmark reads them, and
+the tests use them as oracles.  All entropies are in bits with the
+0 log 0 = 0 convention.
 
 The classical correlation maximizes the information a projective measurement
 on qubit B yields about qubit A; discord is mutual information minus it.  For
@@ -65,18 +66,8 @@ class XStateDensityMatrix:
     b2: complex = 0.0
 
     def __post_init__(self):
-        # scalar code: a state is built per observation of every central-qubit
-        # trace; `_state_failures` applies the same checks to a batch as masks
-        tr = self.a_plus + self.a_minus + 2.0 * self.a_zero
-        if abs(tr - 1.0) > 1e-10:
-            raise ValueError(f"trace = {tr}, expected 1")
-        for name in ("a_plus", "a_minus", "a_zero"):
-            if getattr(self, name) < -_EIG_CLAMP:
-                raise ValueError(f"population {name} = {getattr(self, name)} < 0")
-        if abs(self.b1) > math.sqrt(max(self.a_plus * self.a_minus, 0.0)) + 1e-9:
-            raise ValueError("positivity violated: |b1| > sqrt(a_plus a_minus)")
-        if abs(self.b2) > self.a_zero + 1e-9:
-            raise ValueError("positivity violated: |b2| > a_zero")
+        entries = (self.a_plus, self.a_minus, self.a_zero, self.b1, self.b2)
+        _raise_first(_state_failures(XStateBatch(*(np.array([v]) for v in entries))))
 
     def to_matrix(self) -> np.ndarray:
         rho = np.zeros((4, 4), dtype=complex)
@@ -137,9 +128,9 @@ def _correlator_failures(c1, c2, c3, c4) -> dict[int, str]:
 
 
 def _state_failures(x: XStateBatch) -> dict[int, str]:
-    """`XStateDensityMatrix`'s checks as masks over a batch, in its order:
-    unit trace, populations above -`_EIG_CLAMP`, |b1| <= sqrt(a_plus a_minus),
-    |b2| <= a_zero."""
+    """An X state's checks as masks over a batch, in this order: unit trace,
+    populations above -`_EIG_CLAMP`, |b1| <= sqrt(a_plus a_minus),
+    |b2| <= a_zero.  `XStateDensityMatrix` runs them on a batch of one."""
     failed: dict[int, str] = {}
     tr = x.a_plus + x.a_minus + 2.0 * x.a_zero
     _mark(failed, np.abs(tr - 1.0) > 1e-10, lambda i: f"trace = {float(tr[i])}, expected 1")

@@ -52,9 +52,9 @@ class TestMeasures:
         calls = []
         real = kernels._grid_moments
 
-        def counted(kind, tau, gamma, j3, grid, ns):
-            calls.append((grid.m, tau.tolist(), tuple(ns)))
-            return real(kind, tau, gamma, j3, grid, ns)
+        def counted(kind, tau, gamma, j3, m, ns):
+            calls.append((m, tau.tolist(), tuple(ns)))
+            return real(kind, tau, gamma, j3, m, ns)
 
         monkeypatch.setattr(kernels, "_grid_moments", counted)
         code, _, _ = run_cli(

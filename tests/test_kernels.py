@@ -232,7 +232,8 @@ class TestComputeBetas:
 
         def table_row(b0, b2):
             proto = QuenchProtocol.ising(1.0, 2.0)
-            return MomentTable((proto,), (0, 2), np.array([[b0, b2]]), np.zeros((1, 2)), (0,))
+            return MomentTable((proto,), (0, 2), np.array([[b0, b2]]), np.zeros((1, 2)), (0,),
+                               (proto.tau,))
 
         assert table_row(0.5, 0.1).betas(0) == {0: 0.5, 2: 0.1}
         with pytest.raises(ValueError, match="exceeds beta_0"):
@@ -315,7 +316,7 @@ class TestIsingMoments:
         xs = np.concatenate([[kernels._X_SERIES], np.geomspace(kernels._X_SERIES, 1e8, 60)])  # ive is nan past ~1e9
         table = moment_table([ising_at(x) for x in xs], EVEN_TO_58)
         assert set(table.nodes) == {0}
-        x = np.array([0.5 * math.pi * p.tau for p in table.protocols])
+        x = 0.5 * math.pi * np.array(table.taus)
         expected = ive(np.array(EVEN_TO_58)[None, :] // 2, x[:, None])
         err = np.abs(table.values - expected)
         assert np.max(err / expected) <= 1.3e-14
@@ -367,8 +368,8 @@ class TestMomentTable:
         (QuenchProtocol.ising(1.0, 1.0), np.geomspace(0.1, 1e4, 48)),
     ], ids=["multicritical", "three_spin", "ising"])
     def test_tau_sweep_rows_equal_batches_of_one(self, proto, taus):
-        # one node table per grid, shared by the fine and coarse passes of
-        # neighbouring grid sizes: each row keeps the bits of its own batch
+        # a tau sweep makes no protocol per row, and each row keeps the bits
+        # of its own batch
         ns = (0, 2, 4, 6)
         table = moment_table([proto], ns, taus=taus)
         listed = moment_table([dataclasses.replace(proto, tau=t) for t in taus], ns)
@@ -421,9 +422,9 @@ class TestMomentTable:
         calls = []
         real = kernels._grid_moments
 
-        def counted(kind, tau, gamma, j3, grid, ns):
-            calls.append((len(tau), grid.m))
-            return real(kind, tau, gamma, j3, grid, ns)
+        def counted(kind, tau, gamma, j3, m, ns):
+            calls.append((len(tau), m))
+            return real(kind, tau, gamma, j3, m, ns)
 
         monkeypatch.setattr(kernels, "_grid_moments", counted)
         taus = np.linspace(4e7, 5e7, 10)  # M = 2^19: 8 rows per pass
@@ -451,3 +452,16 @@ class TestMomentTable:
         assert one >= 3 * 8 * kernels._M_CAP  # p_k, a product and k, at least
         assert eight <= one + 4096
         assert table.values[0].tobytes() == alone.values[0].tobytes()
+
+    def test_rows_at_the_cap_peak_at_four_arrays(self):
+        # what `measures` asks of a row at the cap, beta_0 .. beta_6, holds at
+        # most four grid arrays at once: k, p_k, a cosine and its product
+        protos = [QuenchProtocol.multicritical(t) for t in np.linspace(3e9, 7e9, 8)]
+        tracemalloc.start()
+        try:
+            table = moment_table(protos, (0, 2, 4, 6))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert set(table.nodes) == {kernels._M_CAP}
+        assert peak <= 4 * 8 * kernels._M_CAP + 2**16

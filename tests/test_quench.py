@@ -108,7 +108,7 @@ class TestCorrelators:
         b0 = rng.uniform(0.0, 1.0, 400)
         cols = [b0] + [b0 * rng.uniform(-1.0, 1.0, 400) for _ in (2, 4, 6)]
         table = MomentTable((QuenchProtocol.ising(1.0, 1.0),) * 400, (0, 2, 4, 6),
-                            np.column_stack(cols), np.zeros((400, 4)), (512,) * 400)
+                            np.column_stack(cols), np.zeros((400, 4)), (512,) * 400, (1.0,) * 400)
         batch, failed = states_from_moments(table, n)
         checked = 0
         for i, row in enumerate(np.column_stack(cols).tolist()):

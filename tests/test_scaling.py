@@ -171,9 +171,9 @@ class TestSweepTau:
         calls = []
         real = kernels._grid_moments
 
-        def counted(kind, tau, gamma, j3, grid, ns):
-            calls.append((grid.m, tau.tolist(), tuple(ns)))
-            return real(kind, tau, gamma, j3, grid, ns)
+        def counted(kind, tau, gamma, j3, m, ns):
+            calls.append((m, tau.tolist(), tuple(ns)))
+            return real(kind, tau, gamma, j3, m, ns)
 
         monkeypatch.setattr(kernels, "_grid_moments", counted)
         t = sweep_tau(QuenchProtocol.ising(1.0, 1.0), 4, [0.5, 1.0, 2.0])

@@ -507,8 +507,8 @@ class TestBuildXStates:
         assert failed == {1: "c1 = 1.5 outside [-1, 1]"}
 
     def test_state_masks_give_the_constructors_verdicts(self):
-        # _state_failures is XStateDensityMatrix's checks as masks: the same
-        # state fails with the same message, or passes, either way
+        # XStateDensityMatrix runs _state_failures on its batch of one: a state
+        # in a batch fails with the message it gets alone, or passes, either way
         rng = np.random.default_rng(5)
         rows = [(0.3, 0.3, 0.2, 0.0, 0.2 + 2e-9), (0.5, 0.5, 0.0, 0.0, 0.0),
                 (0.5, 0.3, -1e-11, 0.0, 0.0), (0.6, 0.4, -2e-12, 0.0, 0.0),
